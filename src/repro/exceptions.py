@@ -100,8 +100,9 @@ class RequestFailedError(ServingError):
 class WorkerCrashError(ServingError):
     """A worker-pool replica died (or hung) while handling a request.
 
-    The pool restarts crashed workers automatically; this surfaces only
-    when a request could not be completed even after a restart-and-retry.
+    The pool respawns the replica before raising this; the serving engine
+    retries the batch (once by default), so callers see it only when the
+    retries ran out too.
     """
 
 

@@ -21,7 +21,7 @@ Fault kinds (:data:`FAULT_KINDS`):
   scoring (a broken sensor / DMA corruption upstream of the scorer).
 * ``"kill_worker"`` — SIGKILL one replica of a wrapped
   :class:`~repro.serving.pool.WorkerPool` mid-call, then score anyway (the
-  pool's restart-and-retry path is exercised for real).  Ignored for
+  pool's restart and the engine's retry are exercised for real).  Ignored for
   in-process scorers, which have no processes to kill.
 
 The injector passes ``image_shape`` / ``dtype`` / ``replicas`` / ``close``

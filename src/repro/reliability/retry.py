@@ -8,11 +8,11 @@ themselves so that concurrent retriers do not thunder in lockstep.  The
 jitter stream is seeded, so a given policy + seed produces the exact same
 delay sequence every run — chaos tests stay reproducible.
 
-:func:`call_with_retry` is the shared executor used by the serving engine
-(around ``scorer.score_batch``) and the worker pool (around a replica
-restart-and-retry): it returns both the result and how many retries were
-spent, so callers can surface the count (``Scored.retries``,
-``serving.retries`` telemetry).
+:func:`call_with_retry` is the executor the serving engine runs around
+``scorer.score_batch`` — the one retry layer on the serving path: it
+returns both the result and how many retries were spent, so the engine
+can surface the count (``Scored.retries``, ``serving.retries``
+telemetry).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.serving.admission import (
     REJECTION_REASONS,
     AdmissionController,
     AdmissionDecision,
-    WeightedClassBatcher,
 )
 from repro.serving.artifacts import (
     BUNDLE_SCHEMA,
@@ -43,7 +42,7 @@ from repro.serving.artifacts import (
     read_manifest,
     save_bundle,
 )
-from repro.serving.batcher import MicroBatcher, QueuedRequest
+from repro.serving.batcher import MicroBatcher, QueuedRequest, WeightedClassBatcher
 from repro.serving.engine import EngineConfig, PipelineScorer, ServingEngine
 from repro.serving.loadgen import (
     LoadReport,

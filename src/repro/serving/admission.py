@@ -1,22 +1,16 @@
 """Admission control: the serving front door's accept/refuse decision.
 
-Two pieces live here, both driven by a
-:class:`~repro.serving.qos.QosPolicy`:
-
-* :class:`AdmissionController` — decides, per request and *before* any
-  work is queued, whether to admit.  Checks run cheapest-first: the
-  client's token bucket (quota), the AIMD concurrency limit, then
-  deadline-aware shedding (refuse when the predicted queue delay already
-  exceeds the request's deadline).  A refusal carries a machine-readable
-  reason (:data:`REJECTION_REASONS`) that the engine turns into a typed
-  :class:`~repro.serving.results.Rejected` outcome — rejections are
-  answers, not errors, and are never retried against the same node.
-* :class:`WeightedClassBatcher` — the multi-queue that replaces the
-  single FIFO :class:`~repro.serving.batcher.MicroBatcher` when a QoS
-  policy is configured: one bounded FIFO per priority class, drained by
-  smooth weighted round-robin so a saturating ``batch`` client cannot
-  starve ``critical`` traffic, while each class still preserves arrival
-  order internally.
+:class:`AdmissionController`, driven by a
+:class:`~repro.serving.qos.QosPolicy`, decides per request and *before*
+any work is queued whether to admit.  Checks run cheapest-first: the
+client's token bucket (quota), the AIMD concurrency limit, then
+deadline-aware shedding (refuse when the predicted queue delay already
+exceeds the request's deadline).  A refusal carries a machine-readable
+reason (:data:`REJECTION_REASONS`) that the engine turns into a typed
+:class:`~repro.serving.results.Rejected` outcome — rejections are
+answers, not errors, and are never retried against the same node.
+Scheduling between the admitted classes is the batcher's job
+(:class:`~repro.serving.batcher.WeightedClassBatcher`).
 
 The controller is crash-durable: its ``state_dict`` carries every
 client's remaining tokens and the adaptive concurrency limit, so a
@@ -29,12 +23,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
-
-from collections import deque
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.exceptions import ConfigurationError, StateRestoreError
-from repro.serving.batcher import QueuedRequest
 from repro.serving.qos import (
     AimdLimiter,
     ClassPolicy,
@@ -122,11 +113,7 @@ class AdmissionController:
         """Map a request's (possibly absent) priority to a configured class."""
         if qos_class is None:
             return self.policy.default_class
-        if qos_class not in self.policy.classes:
-            raise ConfigurationError(
-                f"unknown priority class {qos_class!r}; this engine serves "
-                f"{', '.join(sorted(self.policy.classes))}"
-            )
+        self.class_policy(qos_class)  # validates
         return qos_class
 
     def class_policy(self, qos_class: str) -> ClassPolicy:
@@ -257,150 +244,3 @@ class AdmissionController:
                 stats["concurrency_limit"] = self.aimd.limit
                 stats["aimd_decreases"] = self.aimd.decreases
             return stats
-
-
-class WeightedClassBatcher:
-    """Per-class bounded FIFOs drained by smooth weighted round-robin.
-
-    Drop-in replacement for :class:`~repro.serving.batcher.MicroBatcher`
-    (same ``offer`` / ``next_batch`` / ``close`` / ``len`` surface) that
-    routes each :class:`~repro.serving.batcher.QueuedRequest` to its
-    class's queue and assembles micro-batches by repeatedly picking the
-    smooth-WRR winner among the non-empty classes — under contention each
-    class receives batch slots proportional to its configured weight,
-    with no reordering inside a class.
-
-    Parameters
-    ----------
-    policy:
-        The QoS policy supplying class names, weights, and per-class
-        queue capacities.
-    max_batch_size / max_wait_ms:
-        Same batching window semantics as ``MicroBatcher``.
-    default_capacity:
-        Queue bound for classes whose policy leaves ``queue_capacity``
-        unset (the engine passes its ``queue_capacity``).
-    """
-
-    def __init__(
-        self,
-        policy: QosPolicy,
-        max_batch_size: int = 8,
-        max_wait_ms: float = 2.0,
-        default_capacity: int = 64,
-    ) -> None:
-        if max_batch_size < 1:
-            raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ConfigurationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if default_capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {default_capacity}")
-        self.policy = policy
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
-        self._queues: Dict[str, Deque[QueuedRequest]] = {
-            name: deque() for name in policy.classes
-        }
-        self._capacities: Dict[str, int] = {
-            name: int(spec.queue_capacity or default_capacity)
-            for name, spec in policy.classes.items()
-        }
-        self._weights: Dict[str, float] = {
-            name: float(spec.weight) for name, spec in policy.classes.items()
-        }
-        # Smooth-WRR credit per class; mutated only under the lock.
-        self._credit: Dict[str, float] = {name: 0.0 for name in policy.classes}
-        self._cond = threading.Condition()
-        self._closed = False
-
-    @property
-    def capacity(self) -> int:
-        """Total admission bound across every class queue."""
-        return sum(self._capacities.values())
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
-    def __len__(self) -> int:
-        """Total queued requests across every class."""
-        with self._cond:
-            return sum(len(q) for q in self._queues.values())
-
-    def class_depth(self, qos_class: str) -> int:
-        """Queue depth of one class."""
-        with self._cond:
-            return len(self._queues[qos_class])
-
-    def depths(self) -> Dict[str, int]:
-        """Per-class queue depths (one consistent snapshot)."""
-        with self._cond:
-            return {name: len(q) for name, q in self._queues.items()}
-
-    def offer(self, request: QueuedRequest) -> bool:
-        """Admit into the request's class queue; ``False`` when that
-        class's bounded queue is full or the batcher is closed."""
-        qos_class = request.qos_class
-        if qos_class not in self._queues:
-            raise ConfigurationError(
-                f"unknown priority class {qos_class!r}; this batcher serves "
-                f"{', '.join(sorted(self._queues))}"
-            )
-        with self._cond:
-            queue = self._queues[qos_class]
-            if self._closed or len(queue) >= self._capacities[qos_class]:
-                return False
-            queue.append(request)
-            self._cond.notify()
-            return True
-
-    def _pick(self) -> Optional[QueuedRequest]:
-        """Pop the smooth-WRR winner among non-empty classes (lock held)."""
-        backlogged = [name for name, q in self._queues.items() if q]
-        if not backlogged:
-            return None
-        total = sum(self._weights[name] for name in backlogged)
-        winner = None
-        for name in backlogged:
-            self._credit[name] += self._weights[name]
-            if winner is None or self._credit[name] > self._credit[winner]:
-                winner = name
-        self._credit[winner] -= total
-        return self._queues[winner].popleft()
-
-    def next_batch(self) -> Optional[List[QueuedRequest]]:
-        """Block until a micro-batch is ready; ``None`` once closed and
-        drained.  Same window semantics as ``MicroBatcher.next_batch``,
-        but each slot is filled by the weighted round-robin winner."""
-        with self._cond:
-            while not any(self._queues.values()):
-                if self._closed:
-                    return None
-                self._cond.wait()
-            first = self._pick()
-            assert first is not None
-            batch = [first]
-            window_ends = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                request = self._pick()
-                if request is not None:
-                    batch.append(request)
-                    continue
-                remaining = window_ends - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
-            return batch
-
-    def close(self) -> List[QueuedRequest]:
-        """Refuse further admissions, wake consumers, return leftovers
-        (highest-priority class first; the caller resolves their futures)."""
-        with self._cond:
-            self._closed = True
-            leftovers: List[QueuedRequest] = []
-            for name in self._queues:
-                leftovers.extend(self._queues[name])
-                self._queues[name].clear()
-            self._cond.notify_all()
-            return leftovers

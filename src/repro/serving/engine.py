@@ -1,9 +1,10 @@
 """The inference engine: admission control + micro-batching + dispatch.
 
 :class:`ServingEngine` accepts single-frame requests, admits them into a
-bounded :class:`~repro.serving.batcher.MicroBatcher`, and runs one or more
-dispatch threads that pull micro-batches and hand them to a *scorer* — an
-object with ``score_batch(frames) -> BatchVerdicts``.  Two scorers exist:
+bounded :class:`~repro.serving.batcher.WeightedClassBatcher` (a one-class
+``MicroBatcher`` without a QoS policy), and runs one or more dispatch
+threads that pull micro-batches and hand them to a *scorer* — an object
+with ``score_batch(frames) -> BatchVerdicts``.  Two scorers exist:
 
 * :class:`PipelineScorer` — in-process, wraps a fitted pipeline;
 * :class:`repro.serving.pool.WorkerPool` — multiprocess replicas, one
@@ -13,10 +14,15 @@ Backpressure is explicit: a full queue resolves the request to a typed
 :class:`~repro.serving.results.Overloaded` outcome at submit time; an
 admitted request whose deadline lapses while queued resolves to
 :class:`~repro.serving.results.DeadlineExceeded` without being scored.
-The engine never queues unboundedly and never blocks a producer.
+The engine never queues unboundedly and never blocks a producer.  Every
+request leaves through ``ServingEngine._finish``, so each one gets
+exactly one typed outcome, counted once.
 
-Fault tolerance is opt-in via :class:`EngineConfig`: a
-:class:`~repro.reliability.RetryPolicy` retries a raising backend with
+The engine owns the one retry layer: by default it retries a
+:class:`~repro.exceptions.WorkerCrashError` once, immediately (the pool
+has already respawned the replica).  The rest of fault tolerance is
+opt-in via :class:`EngineConfig`: a
+:class:`~repro.reliability.RetryPolicy` retries any raising backend with
 exponential backoff, a :class:`~repro.reliability.BreakerConfig` puts a
 circuit breaker in front of it (an open breaker resolves batches
 immediately instead of hammering a dead backend), and ``fail_safe``
@@ -55,18 +61,25 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, NotFittedError, ServingError, ShapeError
+from repro.exceptions import (
+    ConfigurationError,
+    DeploymentError,
+    NotFittedError,
+    ServingError,
+    ShapeError,
+    WorkerCrashError,
+)
 from repro.nn.backend.policy import as_tensor
 from repro.novelty.framework import SaliencyNoveltyPipeline
 from repro.reliability.breaker import BreakerConfig, CircuitBreaker
 from repro.reliability.retry import RetryPolicy, call_with_retry
-from repro.serving.admission import AdmissionController, WeightedClassBatcher
-from repro.serving.batcher import MicroBatcher, QueuedRequest
-from repro.serving.qos import QosPolicy
+from repro.serving.admission import AdmissionController
+from repro.serving.batcher import MicroBatcher, QueuedRequest, WeightedClassBatcher
+from repro.serving.qos import DEFAULT_CLASS, QosPolicy
 from repro.serving.results import (
     BatchVerdicts,
     DeadlineExceeded,
@@ -86,8 +99,20 @@ _UNSET = object()
 #: Fail-safe policies for unscorable requests (see :class:`EngineConfig`).
 FAIL_SAFE_POLICIES = ("fail", "novel")
 
-#: Stand-in policy when only a breaker (no retry) is configured.
-_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+#: Retry policy without ``EngineConfig.retry``: one immediate retry of a
+#: crashed worker, which the pool has already respawned.
+_CRASH_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+
+#: Per outcome status: the ``stats()`` count and the telemetry counter
+#: (``Rejected`` counts under ``serving.admission.rejected.<reason>``).
+_TALLIES = {
+    "ok": ("scored", None),
+    "rejected": ("rejected_admission", None),
+    "overloaded": ("rejected", "serving.rejected"),
+    "deadline_exceeded": ("deadline_exceeded", "serving.deadline_exceeded"),
+    "failed": ("failed", None),
+    "degraded": ("degraded", "serving.degraded"),
+}
 
 
 @dataclass(frozen=True)
@@ -108,8 +133,9 @@ class EngineConfig:
         Per-request deadline applied when ``submit`` does not pass one;
         ``None`` disables deadlines by default.
     retry:
-        Retry-with-backoff policy for a raising backend; ``None`` keeps
-        the historical single-attempt behavior.
+        Retry-with-backoff policy for a raising backend.  ``None``
+        retries only a :class:`~repro.exceptions.WorkerCrashError`, once
+        and immediately.
     breaker:
         Circuit-breaker policy guarding the backend; ``None`` disables
         breaking.
@@ -122,13 +148,13 @@ class EngineConfig:
         must read as "assume novel").
     qos:
         Admission-control & QoS policy
-        (:class:`~repro.serving.qos.QosPolicy`).  When set, the single
-        FIFO becomes a weighted per-class multi-queue, submissions carry
-        a priority class and client id, and requests may resolve to a
-        typed :class:`~repro.serving.results.Rejected` outcome (rate
-        limit, adaptive concurrency limit, or deadline-aware shedding)
-        before any work is queued.  ``None`` keeps the historical
-        admit-everything FIFO behavior.
+        (:class:`~repro.serving.qos.QosPolicy`).  When set, the batcher
+        gets one queue per priority class, submissions carry a priority
+        class and client id, and requests may resolve to a typed
+        :class:`~repro.serving.results.Rejected` outcome (rate limit,
+        adaptive concurrency limit, or deadline-aware shedding) before
+        any work is queued.  ``None`` admits everything into a single
+        FIFO.
     """
 
     max_batch_size: int = 8
@@ -202,20 +228,13 @@ class PipelineScorer:
                 # margins together — the verdict stage reads the cached
                 # scores — and every stage emits its own telemetry span.
                 ctx = self.pipeline.run_plan(frames)
-                return BatchVerdicts(
-                    scores=ctx.scores,
-                    is_novel=ctx.is_novel,
-                    margins=ctx.margins,
-                    model_version=self.model_version,
-                )
-            scores = self.pipeline.score_batch(frames)
-            detector = self.pipeline.one_class.detector
-            return BatchVerdicts(
-                scores=scores,
-                is_novel=detector.predict(scores),
-                margins=detector.novelty_margin(scores),
-                model_version=self.model_version,
-            )
+                scores, is_novel, margins = ctx.scores, ctx.is_novel, ctx.margins
+            else:
+                scores = self.pipeline.score_batch(frames)
+                detector = self.pipeline.one_class.detector
+                is_novel = detector.predict(scores)
+                margins = detector.novelty_margin(scores)
+            return BatchVerdicts(scores, is_novel, margins, self.model_version)
 
     def reload(self, target: Any, model_version: Optional[str] = None) -> None:
         """Hot-swap the pipeline without dropping the in-flight batch.
@@ -227,8 +246,6 @@ class PipelineScorer:
         so the next batch scores on the new model.  The new pipeline must
         score the same ``(H, W)`` the engine validates submissions against.
         """
-        from repro.exceptions import DeploymentError
-
         pipeline = getattr(target, "pipeline", target)
         if model_version is None:
             manifest = getattr(target, "manifest", None)
@@ -284,50 +301,32 @@ class ServingEngine:
     ) -> None:
         self.config = config or EngineConfig()
         self.scorer = scorer
-        if breaker is not None:
-            self.breaker: Optional[CircuitBreaker] = breaker
-        else:
-            self.breaker = (
-                CircuitBreaker(self.config.breaker)
-                if self.config.breaker is not None
-                else None
-            )
+        self.breaker: Optional[CircuitBreaker] = breaker
+        if breaker is None and self.config.breaker is not None:
+            self.breaker = CircuitBreaker(self.config.breaker)
         self._retry = self.config.retry
         # One jitter stream shared by every dispatch thread; exact
         # interleaving does not matter, determinism per-policy-seed does.
-        self._retry_rng = (self._retry or _ONE_ATTEMPT).make_rng()
+        self._retry_rng = (self._retry or _CRASH_RETRY).make_rng()
         replicas = max(1, int(getattr(scorer, "replicas", 1)))
-        if self.config.qos is not None:
-            self._batcher: Any = WeightedClassBatcher(
-                self.config.qos,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
-                default_capacity=self.config.queue_capacity,
-            )
-            self.admission: Optional[AdmissionController] = AdmissionController(
-                self.config.qos, replicas=replicas
+        cfg = self.config
+        self.admission: Optional[AdmissionController] = None
+        if cfg.qos is None:
+            self._batcher: WeightedClassBatcher = MicroBatcher(
+                cfg.max_batch_size, cfg.max_wait_ms, cfg.queue_capacity
             )
         else:
-            self._batcher = MicroBatcher(
-                max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
-                capacity=self.config.queue_capacity,
+            self._batcher = WeightedClassBatcher(
+                cfg.qos, cfg.max_batch_size, cfg.max_wait_ms, cfg.queue_capacity
             )
-            self.admission = None
+            self.admission = AdmissionController(cfg.qos, replicas=replicas)
         self._stats_lock = threading.Lock()
         self._in_flight = 0
-        self._counts = {
-            "submitted": 0,
-            "scored": 0,
-            "rejected": 0,
-            "rejected_admission": 0,
-            "deadline_exceeded": 0,
-            "failed": 0,
-            "degraded": 0,
-            "retries": 0,
-            "batches": 0,
-            "reloads": 0,
-        }
+        self._counts = dict.fromkeys(
+            ("submitted", "scored", "rejected", "rejected_admission", "deadline_exceeded",
+             "failed", "degraded", "retries", "batches", "reloads"),
+            0,
+        )
         self._latencies: List[float] = []
         self._last_trace_id: Optional[str] = None
         self._shadow: Optional[Any] = None
@@ -339,7 +338,7 @@ class ServingEngine:
                 name=f"serving-dispatch-{i}",
                 daemon=True,
             )
-            for i in range(max(1, int(getattr(scorer, "replicas", 1))))
+            for i in range(replicas)
         ]
         for thread in self._threads:
             thread.start()
@@ -375,28 +374,26 @@ class ServingEngine:
                 f"submit expects one ({expected or 'H, W'}) frame, got {frame.shape}"
             )
         admission = self.admission
+        class_deadline_ms = None
         if admission is not None:
             qos_class = admission.resolve_class(qos_class)
-            if deadline_ms is _UNSET:
-                spec = admission.class_policy(qos_class)
-                deadline_ms = (
-                    spec.default_deadline_ms
-                    if spec.default_deadline_ms is not None
-                    else self.config.default_deadline_ms
-                )
+            class_deadline_ms = admission.class_policy(qos_class).default_deadline_ms
         else:
-            qos_class = qos_class or "interactive"
-            if deadline_ms is _UNSET:
-                deadline_ms = self.config.default_deadline_ms
+            qos_class = DEFAULT_CLASS
+        if deadline_ms is _UNSET:
+            deadline_ms = (
+                class_deadline_ms
+                if class_deadline_ms is not None
+                else self.config.default_deadline_ms
+            )
         telem = get_telemetry()
         if trace is None and telem.enabled:
             trace = TraceContext.new_root()
         now = time.monotonic()
-        pending = PendingResult()
         ledger = self._ledger
         request = QueuedRequest(
             frame=frame,
-            pending=pending,
+            pending=PendingResult(),
             enqueued_at=now,
             deadline_at=None if deadline_ms is None else now + deadline_ms / 1000.0,
             trace=trace,
@@ -408,6 +405,7 @@ class ServingEngine:
         with self._stats_lock:
             self._counts["submitted"] += 1
             in_flight = self._in_flight
+            self._in_flight += 1  # until _finish
             if trace is not None:
                 self._last_trace_id = trace.trace_id
         if admission is not None:
@@ -419,45 +417,22 @@ class ServingEngine:
                 in_flight=in_flight,
             )
             if not decision.admitted:
-                outcome: RequestOutcome = Rejected(
+                rejected = Rejected(
                     reason=decision.reason or "rejected",
                     qos_class=qos_class,
                     client_id=client_id,
                     retry_after_ms=decision.retry_after_ms,
                 )
-                self._resolve_ledger(request, outcome.status)
-                pending.resolve(outcome)
-                telem.counter(f"serving.admission.rejected.{outcome.reason}").inc()
-                if trace is not None:
-                    telem.add_span(
-                        "serving.request",
-                        0.0,
-                        context=trace,
-                        outcome="rejected",
-                        reason=outcome.reason,
-                        qos_class=qos_class,
-                    )
-                with self._stats_lock:
-                    self._counts["rejected_admission"] += 1
-                return pending
+                self._finish([request], rejected, now)
+                return request.pending
             telem.counter(f"serving.admission.admitted.{qos_class}").inc()
-        if self._batcher.offer(request):
-            with self._stats_lock:
-                self._in_flight += 1
-        else:
-            depth = len(self._batcher)
-            outcome = Overloaded(queue_depth=depth, capacity=self._batcher.capacity)
-            self._resolve_ledger(request, outcome.status)
-            pending.resolve(outcome)
-            telem.counter("serving.rejected").inc()
-            if trace is not None:
-                telem.add_span(
-                    "serving.request", 0.0, context=trace, outcome="overloaded"
-                )
-            with self._stats_lock:
-                self._counts["rejected"] += 1
+        if not self._batcher.offer(request):
+            overloaded = Overloaded(
+                queue_depth=len(self._batcher), capacity=self._batcher.capacity
+            )
+            self._finish([request], overloaded, now)
         telem.gauge("serving.queue_depth").set(len(self._batcher))
-        return pending
+        return request.pending
 
     def infer(
         self,
@@ -485,52 +460,38 @@ class ServingEngine:
 
     # -- reliability -----------------------------------------------------
     def _score_guarded(self, stack: np.ndarray) -> Tuple[BatchVerdicts, int]:
-        """One micro-batch through the retry + breaker wrappers.
+        """One micro-batch through the engine's retry layer and breaker.
 
-        Returns ``(verdicts, retries_used)``.  With no reliability
-        configured this is exactly the historical single call.  Otherwise
-        every attempt outcome feeds the breaker, non-finite scores count
-        as a backend failure, and the final failure (after retries) is
-        re-raised for the dispatch loop to resolve.
+        Returns ``(verdicts, retries_used)``.  With a retry policy or
+        breaker configured, every failed attempt feeds the breaker and
+        non-finite scores count as a backend failure.  The final failure
+        is re-raised for the dispatch loop to resolve.
         """
-        if self._retry is None and self.breaker is None:
-            return self.scorer.score_batch(stack), 0
+        checked = self._retry is not None or self.breaker is not None
 
         def attempt() -> BatchVerdicts:
-            verdicts = self.scorer.score_batch(stack)
-            scores = np.asarray(verdicts.scores, dtype=float)
-            if not np.all(np.isfinite(scores)):
-                bad = int(np.sum(~np.isfinite(scores)))
-                raise ServingError(f"backend returned {bad} non-finite scores")
+            try:
+                verdicts = self.scorer.score_batch(stack)
+                if checked:
+                    scores = np.asarray(verdicts.scores, dtype=float)
+                    if not np.all(np.isfinite(scores)):
+                        bad = int(np.sum(~np.isfinite(scores)))
+                        raise ServingError(f"backend returned {bad} non-finite scores")
+            except Exception:
+                if self.breaker is not None:
+                    self.breaker.record_failure()
+                raise
             return verdicts
-
-        def on_failure(exc: BaseException, attempt_no: int) -> None:
-            if self.breaker is not None:
-                self.breaker.record_failure()
 
         verdicts, retries = call_with_retry(
             attempt,
-            self._retry if self._retry is not None else _ONE_ATTEMPT,
-            retryable=Exception,
-            on_failure=on_failure,
+            self._retry or _CRASH_RETRY,
+            retryable=Exception if self._retry is not None else WorkerCrashError,
             rng=self._retry_rng,
         )
         if self.breaker is not None:
             self.breaker.record_success()
         return verdicts, retries
-
-    def _resolve_ledger(self, request: QueuedRequest, status: str) -> None:
-        """Record a request's typed outcome in the durable ledger.
-
-        Called *before* the caller-visible ``pending.resolve`` so the
-        on-disk resolve record exists by the time anyone can observe the
-        outcome — a crash can leave an extra unresolved admit (reported
-        as failed, conservative) but never a resolved request whose
-        journal still calls it in-flight.
-        """
-        ledger = self._ledger
-        if ledger is not None and request.ledger_id is not None:
-            ledger.resolve(request.ledger_id, status)
 
     def attach_ledger(self, ledger: Optional[Any]) -> None:
         """Attach (or with ``None`` detach) a durable request ledger.
@@ -543,30 +504,76 @@ class ServingEngine:
         """
         self._ledger = ledger
 
-    def _resolve_unscorable(self, live: List[QueuedRequest], reason: str, telem) -> None:
-        """Resolve a batch the backend could not score, per the fail-safe
-        policy: a conservative ``Degraded`` verdict or a plain ``Failed``."""
-        if self.config.fail_safe == "novel":
-            outcome: RequestOutcome = Degraded(
-                reason=reason, is_novel=True, policy="novel"
-            )
-            key = "degraded"
-            telem.counter("serving.degraded").inc(len(live))
-        else:
-            outcome = Failed(error=reason)
-            key = "failed"
-        for request in live:
-            self._resolve_ledger(request, outcome.status)
-            request.pending.resolve(outcome)
-        with self._stats_lock:
-            self._counts[key] += len(live)
-            self._in_flight -= len(live)
+    def _finish(
+        self,
+        requests: Sequence[QueuedRequest],
+        outcomes: Union[RequestOutcome, List[RequestOutcome]],
+        now: float,
+        owner: Optional[TraceContext] = None,
+    ) -> None:
+        """Resolve requests to their outcomes: the engine's one exit.
 
-    def _publish_breaker_state(self, telem) -> None:
+        ``outcomes`` is one outcome for all ``requests`` or a list with
+        one each (a list of ``Scored`` is one scored micro-batch); ``now``
+        is when they resolved; ``owner`` is their batch's trace, if any.
+
+        The ledger record is written *before* ``pending.resolve``: a crash
+        can leave an extra unresolved admit (reported as failed) but never
+        a resolved request the journal still calls in flight.  The stats
+        lock covers the whole pass, so ``stats()`` never lags a resolved
+        future, and it serializes the telemetry instruments (not
+        thread-safe) across dispatch threads.
+        """
+        if not isinstance(outcomes, list):
+            outcomes = [outcomes] * len(requests)
+        telem = get_telemetry()
+        ledger = self._ledger
+        with self._stats_lock:
+            if outcomes and isinstance(outcomes[0], Scored):
+                retries = outcomes[0].retries
+                self._counts["batches"] += 1
+                self._counts["retries"] += retries
+                telem.counter("serving.batches").inc()
+                telem.histogram("serving.batch_size").observe(len(requests))
+                if retries:
+                    telem.counter("serving.retries").inc(retries)
+            for request, outcome in zip(requests, outcomes):
+                if ledger is not None and request.ledger_id is not None:
+                    ledger.resolve(request.ledger_id, outcome.status)
+                request.pending.resolve(outcome)
+                count_key, counter = _TALLIES[outcome.status]
+                self._counts[count_key] += 1
+                latency = now - request.enqueued_at
+                attrs: Dict[str, Any] = {}
+                if isinstance(outcome, Scored):
+                    self._latencies.append(latency)
+                    telem.histogram("serving.request_latency").observe(latency)
+                    telem.window_histogram("monitor.score_window").observe(outcome.score)
+                    if outcome.is_novel:
+                        telem.counter("monitor.novel_verdicts").inc()
+                    attrs["batch_size"] = outcome.batch_size
+                elif isinstance(outcome, Rejected):
+                    counter = f"serving.admission.rejected.{outcome.reason}"
+                    attrs.update(reason=outcome.reason, qos_class=outcome.qos_class)
+                if counter is not None:
+                    telem.counter(counter).inc()
+                if request.trace is not None:
+                    if owner is not None and request.trace is not owner:
+                        attrs["batch_trace"] = owner.trace_id
+                    telem.add_span(
+                        "serving.request",
+                        latency,
+                        context=request.trace,
+                        outcome="scored" if outcome.status == "ok" else outcome.status,
+                        **attrs,
+                    )
+            self._in_flight -= len(requests)
+
+    def _publish_state(self, telem) -> None:
+        """Set the queue-depth, breaker and concurrency-limit gauges."""
+        telem.gauge("serving.queue_depth").set(len(self._batcher))
         if self.breaker is not None:
             telem.gauge("serving.breaker_state").set(self.breaker.state_code())
-
-    def _publish_admission_state(self, telem) -> None:
         admission = self.admission
         if admission is not None and admission.aimd is not None:
             telem.gauge("serving.admission.concurrency_limit").set(
@@ -582,37 +589,26 @@ class ServingEngine:
                 return
             now = time.monotonic()
             live: List[QueuedRequest] = []
-            expired_any = False
+            expired: List[QueuedRequest] = []
+            late: List[RequestOutcome] = []
             for request in batch:
+                waited = now - request.enqueued_at
                 telem.window_histogram(
                     f"serving.queue_delay.{request.qos_class}"
-                ).observe(now - request.enqueued_at)
+                ).observe(waited)
                 if request.deadline_at is not None and now > request.deadline_at:
-                    waited = now - request.enqueued_at
+                    expired.append(request)
                     allowed = request.deadline_at - request.enqueued_at
-                    expired = DeadlineExceeded(waited_s=waited, deadline_s=allowed)
-                    self._resolve_ledger(request, expired.status)
-                    request.pending.resolve(expired)
-                    expired_any = True
-                    telem.counter("serving.deadline_exceeded").inc()
-                    if request.trace is not None:
-                        telem.add_span(
-                            "serving.request",
-                            waited,
-                            context=request.trace,
-                            outcome="deadline_exceeded",
-                        )
-                    with self._stats_lock:
-                        self._counts["deadline_exceeded"] += 1
-                        self._in_flight -= 1
+                    late.append(DeadlineExceeded(waited_s=waited, deadline_s=allowed))
                 else:
                     live.append(request)
-            if expired_any and self.admission is not None:
-                # Late expiries mean the queue outran the deadline budget:
-                # back the adaptive concurrency limit off.
-                self.admission.on_overload("deadline_exceeded")
-                self._publish_admission_state(telem)
-            telem.gauge("serving.queue_depth").set(len(self._batcher))
+            if expired:
+                self._finish(expired, late, now)
+                if self.admission is not None:
+                    # Late expiries mean the queue outran the deadline
+                    # budget: back the adaptive concurrency limit off.
+                    self.admission.on_overload("deadline_exceeded")
+            self._publish_state(telem)
             if not live:
                 continue
             # The batch's spans join the first live request's trace (the
@@ -626,87 +622,62 @@ class ServingEngine:
                         now - request.enqueued_at,
                         context=request.trace.child(),
                     )
-            stack = np.stack([r.frame for r in live])
+            error: Optional[str] = None
             if self.breaker is not None and not self.breaker.allow():
                 if self.admission is not None:
                     self.admission.on_overload("breaker_open")
-                    self._publish_admission_state(telem)
-                self._resolve_unscorable(live, "circuit breaker open", telem)
-                self._publish_breaker_state(telem)
-                continue
-            score_started = time.monotonic()
-            try:
-                with telem.span("serving.batch", trace=owner, frames=len(live)):
-                    verdicts, retries = self._score_guarded(stack)
-            except Exception as exc:  # noqa: BLE001 — worker crashes land here
-                message = f"{type(exc).__name__}: {exc}"
-                telem.counter("serving.errors").inc()
-                self._resolve_unscorable(live, message, telem)
-                self._publish_breaker_state(telem)
-                continue
-            self._publish_breaker_state(telem)
-            if self.admission is not None:
-                self.admission.observe_batch(
-                    time.monotonic() - score_started, len(live)
-                )
-                self._publish_admission_state(telem)
-            if retries:
-                telem.counter("serving.retries").inc(retries)
-                with self._stats_lock:
-                    self._counts["retries"] += retries
+                error = "circuit breaker open"
+            else:
+                score_started = time.monotonic()
+                try:
+                    with telem.span("serving.batch", trace=owner, frames=len(live)):
+                        verdicts, retries = self._score_guarded(
+                            np.stack([r.frame for r in live])
+                        )
+                except Exception as exc:  # noqa: BLE001 — worker crashes land here
+                    telem.counter("serving.errors").inc()
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    if self.admission is not None:
+                        self.admission.observe_batch(
+                            time.monotonic() - score_started, len(live)
+                        )
+            self._publish_state(telem)
             done = time.monotonic()
+            if error is not None:
+                # Unscorable: the fail-safe policy picks a conservative
+                # Degraded verdict or a plain Failed.
+                if self.config.fail_safe == "novel":
+                    unscorable: RequestOutcome = Degraded(
+                        reason=error, is_novel=True, policy="novel"
+                    )
+                else:
+                    unscorable = Failed(error=error)
+                self._finish(live, unscorable, done, owner)
+                continue
             model_version = getattr(verdicts, "model_version", None)
             if model_version is None:
                 model_version = getattr(self.scorer, "model_version", None)
-            resolved: List[Tuple[np.ndarray, Scored]] = []
-            latency_histogram = telem.histogram("serving.request_latency")
-            score_window = telem.window_histogram("monitor.score_window")
-            # The stats lock also serializes metric updates across dispatch
-            # threads — the telemetry instruments are not thread-safe.
-            with self._stats_lock:
-                telem.counter("serving.batches").inc()
-                telem.histogram("serving.batch_size").observe(len(live))
-                self._counts["batches"] += 1
-                self._counts["scored"] += len(live)
-                self._in_flight -= len(live)
-                for i, request in enumerate(live):
-                    latency = done - request.enqueued_at
-                    self._latencies.append(latency)
-                    latency_histogram.observe(latency)
-                    score = float(verdicts.scores[i])
-                    is_novel = bool(verdicts.is_novel[i])
-                    score_window.observe(score)
-                    if is_novel:
-                        telem.counter("monitor.novel_verdicts").inc()
-                    if request.trace is not None:
-                        attrs = {"outcome": "scored", "batch_size": len(live)}
-                        if owner is not None and request.trace is not owner:
-                            attrs["batch_trace"] = owner.trace_id
-                        telem.add_span(
-                            "serving.request",
-                            latency,
-                            context=request.trace,
-                            **attrs,
-                        )
-                    outcome = Scored(
-                        score=score,
-                        is_novel=is_novel,
-                        margin=float(verdicts.margins[i]),
-                        batch_size=len(live),
-                        latency_s=latency,
-                        retries=retries,
-                        model_version=model_version,
-                    )
-                    self._resolve_ledger(request, outcome.status)
-                    request.pending.resolve(outcome)
-                    resolved.append((request.frame, outcome))
-            # Shadow mirroring happens outside the stats lock: offer() is a
+            scored = [
+                Scored(
+                    score=float(verdicts.scores[i]),
+                    is_novel=bool(verdicts.is_novel[i]),
+                    margin=float(verdicts.margins[i]),
+                    batch_size=len(live),
+                    latency_s=done - request.enqueued_at,
+                    retries=retries,
+                    model_version=model_version,
+                )
+                for i, request in enumerate(live)
+            ]
+            self._finish(live, scored, done, owner)
+            # Shadow mirroring happens after resolution: offer() is a
             # sampled non-blocking enqueue that never raises and never
             # affects the already-resolved responses.
             shadow = self._shadow
             if shadow is not None:
-                for frame, outcome in resolved:
-                    shadow.offer(frame, outcome)
+                for request, outcome in zip(live, scored):
+                    shadow.offer(request.frame, outcome)
 
     # -- lifecycle: hot-swap and rollout hooks ---------------------------
     def reload(self, target: Any, model_version: Optional[str] = None) -> None:
@@ -721,8 +692,6 @@ class ServingEngine:
         or a bundle path for the pool).  Emits a ``deploy.swap`` span/
         event and bumps the ``deploy.swaps`` counter.
         """
-        from repro.exceptions import DeploymentError
-
         reload_fn = getattr(self.scorer, "reload", None)
         if reload_fn is None:
             raise DeploymentError(
@@ -747,8 +716,6 @@ class ServingEngine:
         :class:`~repro.deploy.CanarySplitScorer`; for a plain model
         upgrade prefer :meth:`reload`, which drains per replica.
         """
-        from repro.exceptions import DeploymentError
-
         expected = getattr(self.scorer, "image_shape", None)
         offered = getattr(scorer, "image_shape", None)
         if expected is not None and offered is not None and tuple(expected) != tuple(offered):
@@ -804,13 +771,12 @@ class ServingEngine:
             summary["ledger"] = ledger.stats()
         # percentile() is NaN on empty input; stats() feeds wire JSON, so
         # quote 0.0 for "no data" instead.
+        ms = [t * 1e3 for t in latencies] or [0.0]
         summary["latency_ms"] = {
             "count": len(latencies),
-            "mean": float(np.mean(latencies) * 1e3) if latencies else 0.0,
-            "p50": percentile(latencies, 50.0) * 1e3 if latencies else 0.0,
-            "p95": percentile(latencies, 95.0) * 1e3 if latencies else 0.0,
-            "p99": percentile(latencies, 99.0) * 1e3 if latencies else 0.0,
-            "max": max(latencies) * 1e3 if latencies else 0.0,
+            "mean": float(np.mean(ms)),
+            **{f"p{q}": percentile(ms, float(q)) for q in (50, 95, 99)},
+            "max": max(ms),
         }
         if counts["batches"]:
             summary["mean_batch_size"] = counts["scored"] / counts["batches"]
@@ -825,12 +791,7 @@ class ServingEngine:
         leftovers = self._batcher.close()
         for thread in self._threads:
             thread.join(timeout=10.0)
-        for request in leftovers:
-            closed = Failed(error="engine closed")
-            self._resolve_ledger(request, closed.status)
-            request.pending.resolve(closed)
-        with self._stats_lock:
-            self._in_flight -= len(leftovers)
+        self._finish(leftovers, Failed(error="engine closed"), time.monotonic())
         close = getattr(self.scorer, "close", None)
         if close is not None:
             close()

@@ -4,9 +4,11 @@ Each worker is a separate OS process that loads the artifact bundle
 itself (:func:`repro.serving.artifacts.load_bundle`) — replicas share no
 memory with the parent, so a crashed or wedged worker cannot corrupt the
 others.  The parent dispatches micro-batches round-robin over duplex
-pipes, health-checks replicas with pings, and transparently respawns a
-worker that died — retrying the in-flight batch once on the fresh replica
-before giving up with :class:`~repro.exceptions.WorkerCrashError`.
+pipes, health-checks replicas with pings, and respawns a worker that died or
+hung before raising :class:`~repro.exceptions.WorkerCrashError` for the
+batch it was scoring.  The pool does not retry: the engine owns the one
+retry layer and, by default, retries a ``WorkerCrashError`` once on the
+next replica (see :class:`~repro.serving.engine.EngineConfig`).
 
 The pool exposes the same ``score_batch``/``image_shape``/``replicas``
 surface as :class:`~repro.serving.engine.PipelineScorer`, so a
@@ -25,9 +27,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ServingError, WorkerCrashError
+from repro.exceptions import (
+    ConfigurationError,
+    DeploymentError,
+    ServingError,
+    WorkerCrashError,
+)
 from repro.nn.backend.policy import as_tensor, resolve_dtype
-from repro.reliability.retry import RetryPolicy, call_with_retry
 from repro.serving.artifacts import read_manifest
 from repro.serving.results import BatchVerdicts
 from repro.telemetry import current_trace, get_telemetry
@@ -123,6 +129,27 @@ def _worker_main(
             conn.send(("err", message[1] if len(message) > 1 else -1, f"unknown op {op!r}"))
 
 
+def _send_stop(conn) -> None:
+    """Ask a replica to exit (a dead pipe means it already has)."""
+    try:
+        conn.send(("stop",))
+    except (BrokenPipeError, OSError):
+        pass
+
+
+def _reap(process: multiprocessing.Process, conn: Any, grace_s: float) -> None:
+    """Give a replica ``grace_s`` to exit, terminate it if it has not, and
+    close its pipe."""
+    process.join(timeout=grace_s)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=5.0)
+    try:
+        conn.close()
+    except OSError:
+        pass
+
+
 @dataclass
 class _Worker:
     """Parent-side handle for one replica."""
@@ -150,12 +177,6 @@ class WorkerPool:
     dtype:
         Precision policy replicas score in (``"float32"`` or ``"float64"``).
         ``None`` uses the dtype recorded in the bundle manifest.
-    retry:
-        Restart-and-retry policy for a crashed/hung replica:
-        ``max_attempts`` bounds how many fresh processes one batch may be
-        tried on, with exponential backoff (plus seeded jitter) between
-        attempts so a crash-looping replica is not respawn-hammered.
-        ``None`` keeps the historical try-twice-no-backoff behavior.
     profile_kernels:
         Install the kernel profiler in every replica, so traced requests
         come back with per-kernel spans (``repro profile``).
@@ -170,7 +191,6 @@ class WorkerPool:
         workers: int = 2,
         request_timeout_s: float = 60.0,
         dtype: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
         profile_kernels: bool = False,
         model_version: Optional[str] = None,
     ) -> None:
@@ -189,10 +209,6 @@ class WorkerPool:
         self._dtype_override = None if dtype is None else self.dtype.name
         self.replicas = int(workers)
         self.request_timeout_s = float(request_timeout_s)
-        self._retry = retry if retry is not None else RetryPolicy(
-            max_attempts=2, base_delay_s=0.0, jitter=0.0
-        )
-        self._retry_rng = self._retry.make_rng()
         self.profile_kernels = bool(profile_kernels)
         self.model_version = model_version
         self._context = multiprocessing.get_context()
@@ -225,16 +241,9 @@ class WorkerPool:
     def _restart(self, worker: _Worker, reason: str) -> None:
         """Kill (if needed) and respawn one replica.  Caller holds its lock."""
         _log.warning("restarting worker %d: %s", worker.index, reason)
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        _reap(worker.process, worker.conn, grace_s=0.0)
         fresh = self._spawn(worker.index)
-        worker.process = fresh.process
-        worker.conn = fresh.conn
+        worker.process, worker.conn = fresh.process, fresh.conn
         with self._rr_lock:
             self._restarts += 1
         get_telemetry().counter("serving.worker_restarts").inc()
@@ -252,20 +261,17 @@ class WorkerPool:
             self._rr_index += 1
             return worker
 
-    def _next_request_id(self) -> int:
+    def _request(self, worker: _Worker, op: str, *payload: Any) -> tuple:
+        """One ``(op, id, *payload)`` send/recv on a replica; raises
+        ``WorkerCrashError`` on death.  Caller holds ``worker.lock``.
+        """
         with self._rr_lock:
             self._request_id += 1
-            return self._request_id
-
-    def _request(self, worker: _Worker, message: tuple, request_id: int) -> tuple:
-        """One send/recv on a replica; raises ``WorkerCrashError`` on death.
-
-        Caller holds ``worker.lock``.
-        """
+            request_id = self._request_id
         if not worker.process.is_alive():
             raise WorkerCrashError(f"worker {worker.index} is not running")
         try:
-            worker.conn.send(message)
+            worker.conn.send((op, request_id, *payload))
             deadline = time.monotonic() + self.request_timeout_s
             while True:
                 remaining = deadline - time.monotonic()
@@ -287,14 +293,12 @@ class WorkerPool:
             raise WorkerCrashError(f"worker {worker.index} pipe failed: {exc}") from exc
 
     def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
-        """Score a stack on the next replica, restarting it on crash.
+        """Score a stack on the next replica.
 
-        A replica found dead (or that dies mid-request) is respawned and
-        the batch retried on the fresh process under the pool's
-        :class:`~repro.reliability.RetryPolicy` (default: one retry, no
-        backoff), with exponential backoff between attempts when a policy
-        is configured; only the final failure propagates as
-        :class:`~repro.exceptions.WorkerCrashError`.
+        A replica found dead, or that dies or hangs mid-request, is
+        respawned and the batch fails with
+        :class:`~repro.exceptions.WorkerCrashError`; retrying it is the
+        caller's decision (the engine retries once by default).
         """
         if self._closed:
             raise ServingError("WorkerPool.score_batch called after close()")
@@ -306,38 +310,21 @@ class WorkerPool:
         context = current_trace()
         trace_payload = None if context is None else context.to_dict()
 
-        def attempt() -> tuple:
-            request_id = self._next_request_id()
-            return self._request(
-                worker, ("score", request_id, frames, trace_payload), request_id
-            )
-
-        def on_failure(exc: BaseException, attempt_no: int) -> None:
-            self._restart(worker, str(exc))
-
         with worker.lock:
-            reply, _ = call_with_retry(
-                attempt,
-                self._retry,
-                retryable=WorkerCrashError,
-                on_failure=on_failure,
-                rng=self._retry_rng,
-            )
+            try:
+                reply = self._request(worker, "score", frames, trace_payload)
+            except WorkerCrashError as exc:
+                self._restart(worker, str(exc))
+                raise
         if reply[0] == "err":
             raise ServingError(f"worker {worker.index} scoring error: {reply[2]}")
-        scores, is_novel, margins = reply[2], reply[3], reply[4]
-        worker_spans = reply[5] if len(reply) > 5 else []
+        _, _, scores, is_novel, margins, worker_spans = reply
         if worker_spans:
             telem = get_telemetry()
             if telem.enabled:
                 for record in worker_spans:
                     telem.replay_span(record)
-        return BatchVerdicts(
-            scores=scores,
-            is_novel=is_novel,
-            margins=margins,
-            model_version=self.model_version,
-        )
+        return BatchVerdicts(scores, is_novel, margins, self.model_version)
 
     # -- hot-swap --------------------------------------------------------
     def reload(self, target: Union[str, Path, Any], model_version: Optional[str] = None) -> None:
@@ -356,8 +343,6 @@ class WorkerPool:
         swapped replicas stay on the new bundle; re-run ``reload`` either
         way to converge).
         """
-        from repro.exceptions import DeploymentError
-
         if self._closed:
             raise ServingError("WorkerPool.reload called after close()")
         if model_version is None:
@@ -376,16 +361,9 @@ class WorkerPool:
         for worker in self._workers:
             fresh = self._spawn(worker.index, bundle_dir=bundle_dir)
             try:
-                request_id = self._next_request_id()
-                self._request(fresh, ("ping", request_id), request_id)
+                self._request(fresh, "ping")
             except WorkerCrashError as exc:
-                if fresh.process.is_alive():
-                    fresh.process.terminate()
-                fresh.process.join(timeout=5.0)
-                try:
-                    fresh.conn.close()
-                except OSError:
-                    pass
+                _reap(fresh.process, fresh.conn, grace_s=0.0)
                 raise DeploymentError(
                     f"hot-swap aborted: replacement for worker {worker.index} "
                     f"never became ready ({exc})"
@@ -394,20 +372,9 @@ class WorkerPool:
             # here *is* the drain of that worker's in-flight request.
             with worker.lock:
                 old_process, old_conn = worker.process, worker.conn
-                worker.process = fresh.process
-                worker.conn = fresh.conn
-            try:
-                old_conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            old_process.join(timeout=5.0)
-            if old_process.is_alive():
-                old_process.terminate()
-                old_process.join(timeout=5.0)
-            try:
-                old_conn.close()
-            except OSError:
-                pass
+                worker.process, worker.conn = fresh.process, fresh.conn
+            _send_stop(old_conn)
+            _reap(old_process, old_conn, grace_s=5.0)
             telem.counter("deploy.worker_swapped").inc()
             _log.info("worker %d swapped to %s", worker.index, bundle_dir)
         with self._rr_lock:
@@ -418,17 +385,19 @@ class WorkerPool:
         self.model_version = model_version
 
     # -- health ----------------------------------------------------------
+    def _answers_ping(self, worker: _Worker) -> bool:
+        """Whether a replica answers a ping.  Caller holds its lock."""
+        try:
+            return self._request(worker, "ping")[0] == "pong"
+        except WorkerCrashError:
+            return False
+
     def ping(self) -> List[bool]:
         """Liveness probe per replica (``True`` = answered a ping)."""
         health: List[bool] = []
         for worker in self._workers:
             with worker.lock:
-                try:
-                    request_id = self._next_request_id()
-                    reply = self._request(worker, ("ping", request_id), request_id)
-                    health.append(reply[0] == "pong")
-                except WorkerCrashError:
-                    health.append(False)
+                health.append(self._answers_ping(worker))
         return health
 
     def ensure_healthy(self) -> int:
@@ -440,16 +409,9 @@ class WorkerPool:
         restarted = 0
         for worker in self._workers:
             with worker.lock:
-                alive = worker.process.is_alive()
-                if alive:
-                    try:
-                        request_id = self._next_request_id()
-                        self._request(worker, ("ping", request_id), request_id)
-                        continue
-                    except WorkerCrashError:
-                        pass
-                self._restart(worker, "failed health check")
-                restarted += 1
+                if not self._answers_ping(worker):
+                    self._restart(worker, "failed health check")
+                    restarted += 1
         return restarted
 
     # -- lifecycle -------------------------------------------------------
@@ -460,19 +422,9 @@ class WorkerPool:
         self._closed = True
         for worker in self._workers:
             with worker.lock:
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
+                _send_stop(worker.conn)
         for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            _reap(worker.process, worker.conn, grace_s=5.0)
 
     def __enter__(self) -> "WorkerPool":
         return self

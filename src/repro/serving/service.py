@@ -235,6 +235,12 @@ class ServingServer:
         if self._closed:
             return
         self._closed = True
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

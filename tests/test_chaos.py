@@ -331,7 +331,7 @@ class TestMonitorUnderFaults:
 class TestPoolChaos:
     def test_worker_kills_mid_stream_are_absorbed(self, bundle_dir, run_bounded):
         """kill_worker faults SIGKILL real replicas mid-call; the pool's
-        restart-and-retry plus the engine's typed outcomes absorb it."""
+        restart plus the engine's retry and typed outcomes absorb it."""
         from repro.serving import WorkerPool
 
         pool = WorkerPool(bundle_dir, workers=2, request_timeout_s=120.0)

@@ -1,6 +1,7 @@
 """Tests for the serving engine: admission, batching, deadlines, outcomes."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ class _BlockingScorer:
             scores=np.arange(n, dtype=float),
             is_novel=np.zeros(n, dtype=bool),
             margins=np.zeros(n),
+        )
+
+
+class _SlowScorer:
+    """Stub backend that takes ``delay_s`` per batch."""
+
+    replicas = 1
+    image_shape = FRAME_SHAPE
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+
+    def score_batch(self, frames):
+        time.sleep(self.delay_s)
+        n = len(frames)
+        return BatchVerdicts(
+            scores=np.zeros(n), is_novel=np.zeros(n, dtype=bool), margins=np.zeros(n)
         )
 
 
@@ -212,6 +230,38 @@ class TestFailures:
         outcome = queued.result(1.0)
         # Either scored in the drain race or failed by close — never lost.
         assert isinstance(outcome, (Scored, Failed))
+
+    def test_close_counts_the_requests_it_fails(self):
+        """Requests still queued at close() resolve ``Failed`` *and* are
+        counted, so the outcome counts add up to what was submitted."""
+        from repro.durability import RequestLedger
+
+        engine = ServingEngine(
+            _SlowScorer(0.2),
+            EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=16),
+        )
+        ledger = RequestLedger(None)
+        engine.attach_ledger(ledger)
+        pendings = [engine.submit(_frame()) for _ in range(10)]
+        engine.close()
+        outcomes = [p.result(1.0) for p in pendings]
+        stats = engine.stats()
+        failed = sum(isinstance(o, Failed) for o in outcomes)
+        assert failed >= 8
+        assert stats["failed"] == failed
+        assert stats["submitted"] == 10 == sum(
+            stats[key]
+            for key in (
+                "scored",
+                "rejected",
+                "rejected_admission",
+                "deadline_exceeded",
+                "failed",
+                "degraded",
+            )
+        )
+        assert ledger.outstanding == []
+        assert ledger.stats()["resolved"] == ledger.stats()["admitted"] == 10
 
 
 class TestStats:

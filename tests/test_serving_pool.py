@@ -1,11 +1,22 @@
-"""Tests for the multiprocess worker pool (replicas, health, restart)."""
+"""Tests for the multiprocess worker pool (replicas, health, restart).
+
+The pool respawns a crashed replica but does not retry; the kill tests
+therefore score through ``ServingEngine(pool)`` at its default config,
+whose one immediate retry of a ``WorkerCrashError`` lands on a live
+replica.
+"""
 
 import numpy as np
 import pytest
 
 from repro.config import CI
-from repro.exceptions import ArtifactError, ConfigurationError, ServingError
-from repro.serving import WorkerPool
+from repro.exceptions import (
+    ArtifactError,
+    ConfigurationError,
+    ServingError,
+    WorkerCrashError,
+)
+from repro.serving import Scored, ServingEngine, WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +24,20 @@ def pool(bundle_dir):
     """One two-replica pool shared across this module (spawn cost)."""
     with WorkerPool(bundle_dir, workers=2, request_timeout_s=120.0) as pool:
         yield pool
+
+
+@pytest.fixture(scope="module")
+def engine(pool):
+    """A default-config engine over the shared pool (closing it closes the
+    pool, so it lives exactly as long as the module's pool)."""
+    engine = ServingEngine(pool)
+    yield engine
+    engine.close()
+
+
+def _scored(outcomes):
+    assert all(isinstance(o, Scored) for o in outcomes), outcomes
+    return outcomes
 
 
 class TestScoring:
@@ -41,14 +66,15 @@ class TestHealth:
     def test_ping_all_replicas(self, pool):
         assert pool.ping() == [True, True]
 
-    def test_killed_worker_is_restarted(self, pool, dsu_test):
-        """The acceptance scenario: kill a replica, the next batch routed to
-        it is retried on a fresh process and succeeds."""
+    def test_killed_worker_is_restarted(self, pool, engine, dsu_test):
+        """The acceptance scenario: kill a replica; the batch routed to it
+        respawns the replica, the engine retries it once, and it comes
+        back ``Scored`` with the retry on record."""
         before = pool.restarts
         pool._workers[0].process.kill()
         pool._workers[0].process.join(timeout=10.0)
-        results = [pool.score_batch(dsu_test.frames[:2]) for _ in range(4)]
-        assert all(len(v) == 2 for v in results)
+        outcomes = _scored([engine.infer(frame) for frame in dsu_test.frames[:4]])
+        assert sorted(o.retries for o in outcomes) == [0, 0, 0, 1]
         assert pool.restarts == before + 1
         assert pool.ping() == [True, True]
 
@@ -83,27 +109,45 @@ class TestRepeatedCrashes:
         assert pool.ensure_healthy() == 0
         assert pool.restarts == before
 
-    def test_scoring_heals_without_ensure_healthy(self, pool, dsu_test):
+    def test_scoring_heals_without_ensure_healthy(self, pool, engine, dsu_test):
         """Back-to-back kills absorbed by the scoring path alone: each batch
-        routed to the dead replica restarts it and retries transparently."""
+        routed to the dead replica restarts it and the engine retries."""
         before = pool.restarts
         for _ in range(2):
             pool._workers[1].process.kill()
             pool._workers[1].process.join(timeout=10.0)
-            results = [pool.score_batch(dsu_test.frames[:2]) for _ in range(2)]
-            assert all(len(v) == 2 for v in results)
+            # Two sequential single-frame batches round-robin over both
+            # replicas, so one of them meets the dead one.
+            _scored([engine.infer(frame) for frame in dsu_test.frames[:2]])
         assert pool.restarts == before + 2
         assert pool.ping() == [True, True]
 
-    def test_round_robin_keeps_spreading_after_restarts(self, pool, dsu_test):
+    def test_round_robin_keeps_spreading_after_restarts(self, pool, engine, dsu_test):
         """Mid-restart round-robin: with one replica freshly killed, four
         consecutive batches (which round-robin across both replicas) all
         succeed."""
         pool._workers[0].process.kill()
         pool._workers[0].process.join(timeout=10.0)
         for _ in range(4):
-            assert len(pool.score_batch(dsu_test.frames[:3])) == 3
+            assert len(_scored(engine.infer_many(dsu_test.frames[:3]))) == 3
         assert pool.stats()["alive"] == 2
+
+    def test_crash_without_engine_raises_after_respawn(self, pool, dsu_test):
+        """The pool alone does not retry: the batch that meets a dead
+        replica fails with ``WorkerCrashError``, and the replica is already
+        respawned for the next one."""
+        before = pool.restarts
+        pool._workers[0].process.kill()
+        pool._workers[0].process.join(timeout=10.0)
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(len(pool.score_batch(dsu_test.frames[:2])))
+            except WorkerCrashError:
+                outcomes.append("crash")
+        assert sorted(outcomes, key=str) == [2, "crash"]
+        assert pool.restarts == before + 1
+        assert pool.ping() == [True, True]
 
 
 class TestLifecycleAndValidation:

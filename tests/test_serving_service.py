@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ class _TinyScorer:
         return BatchVerdicts(
             scores=np.zeros(n), is_novel=np.zeros(n, dtype=bool), margins=np.zeros(n)
         )
+
+
+class TestServerClose:
+    def test_close_after_a_round_trip_returns_promptly(self):
+        """Closing the listener alone does not wake a blocked ``accept()``;
+        ``close()`` must not sit out its join timeout once a client has
+        connected."""
+        engine = ServingEngine(_TinyScorer())
+        try:
+            server = ServingServer(engine).start()
+            with ServingClient(*server.address) as client:
+                assert client.score(np.zeros((4, 4)))["status"] == "ok"
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 1.0
+        finally:
+            engine.close()
 
 
 @pytest.fixture
