@@ -12,6 +12,7 @@ import pytest
 from repro.metrics.ssim import ssim, ssim_and_grad
 from repro.models import DenseAutoencoder
 from repro.nn import Adam, Conv2d, MSELoss, SSIMLoss, Trainer
+from repro.nn.backend import kernels
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,24 @@ def test_conv2d_backward(benchmark):
         return conv.backward(grad)
 
     assert benchmark(step).shape == x.shape
+
+
+def test_conv2d_forward_kernel_paper_geometry(benchmark):
+    """The largest im2col GEMM of the paper-geometry (60x160, batch 8)
+    PilotNet: stage 2, 24 -> 36 channels at 5x5 stride 2."""
+    rng = np.random.default_rng(0)
+    x = rng.random((8, 24, 28, 78))
+    weight = rng.standard_normal((36, 24, 5, 5))
+    out, cols = benchmark(kernels.conv2d_forward, x, weight, np.zeros(36), (2, 2), (0, 0))
+    assert out.shape == (8, 36, 12, 37)
+    assert cols.shape == (24 * 5 * 5, 8 * 12 * 37)
+
+
+def test_conv_transpose2d_kernel_paper_geometry(benchmark):
+    """VisualBackProp's last ones-kernel upscale back to 60x160 frames."""
+    mask = np.random.default_rng(0).random((8, 1, 28, 78))
+    out = benchmark(kernels.conv_transpose2d, mask, np.ones((1, 1, 5, 5)), 2, 0)
+    assert out.shape == (8, 1, 59, 159)
 
 
 def test_ssim_metric(benchmark, frames):

@@ -9,13 +9,17 @@ stateful ``Layer`` wrappers in :mod:`repro.nn.layers` decide the dtype once
 at their boundary and dispatch here.
 
 The im2col transformation unrolls every receptive field of a ``(N, C, H,
-W)`` batch into the rows of a matrix so convolution becomes a single matrix
-multiplication — the standard CPU-friendly formulation.  ``col2im`` is its
-adjoint (a scatter-add), which gives both the convolution backward pass and
-the transposed-convolution forward pass.  :func:`conv_transpose2d` is also
-used directly by :mod:`repro.saliency.vbp`: VisualBackProp upscales
-averaged feature maps with a ones-kernel transposed convolution matching
-each convolution layer's geometry.
+W)`` batch into the columns of a channel-major ``(C*kh*kw, N*out_h*out_w)``
+matrix, so convolution becomes one ``W @ cols`` matrix multiplication and
+its result is already the output in ``(C_out, N, out_h, out_w)`` memory
+order (handed out as a transposed ``(N, C_out, out_h, out_w)`` view, which
+the next layer's im2col reads back channel-major without a copy).  This is
+the only column layout: ``col2im`` is its adjoint (a scatter-add), which
+gives both the convolution backward pass and the transposed-convolution
+forward pass, and pooling and LRP consume the same matrix.
+:func:`conv_transpose2d` is also used directly by :mod:`repro.saliency.vbp`:
+VisualBackProp upscales averaged feature maps with a ones-kernel transposed
+convolution matching each convolution layer's geometry.
 
 Every public kernel is wrapped by :func:`repro.nn.backend.profiler.profiled`
 — a no-op unless a kernel profiler is installed (``repro profile``, the
@@ -73,7 +77,7 @@ def conv_transpose_output_size(size: int, kernel: int, stride: int, padding: int
 def im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
 ) -> np.ndarray:
-    """Unroll receptive fields of ``x`` into a 2-D matrix.
+    """Unroll receptive fields of ``x`` into a channel-major 2-D matrix.
 
     Parameters
     ----------
@@ -82,9 +86,11 @@ def im2col(
 
     Returns
     -------
-    Array of shape ``(N * out_h * out_w, C * kh * kw)`` where row
-    ``n * out_h * out_w + i * out_w + j`` holds the receptive field of output
-    position ``(i, j)`` of sample ``n``.
+    Array of shape ``(C * kh * kw, N * out_h * out_w)`` where row
+    ``(c * kh + i) * kw + j`` holds input channel ``c`` at kernel offset
+    ``(i, j)`` and column ``(n * out_h + p) * out_w + q`` is output position
+    ``(p, q)`` of sample ``n``.  The matrix is a plain reshape of the gather
+    buffer, so the only allocation beyond a padded copy is the matrix itself.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -93,18 +99,21 @@ def im2col(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
 
+    source = x.transpose(1, 0, 2, 3)
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = source
+        source = padded
 
-    # Gather into (N, C, kh, kw, out_h, out_w) with one strided slice per
+    # Gather into (C, kh, kw, N, out_h, out_w) with one strided slice per
     # kernel offset: O(kh*kw) slice operations instead of O(out_h*out_w).
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         i_max = i + sh * out_h
         for j in range(kw):
             j_max = j + sw * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:sh, j:j_max:sw]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kh * kw)
+            cols[:, i, j] = source[:, :, i:i_max:sh, j:j_max:sw]
+    return cols.reshape(c * kh * kw, n * out_h * out_w)
 
 
 def col2im(
@@ -117,7 +126,8 @@ def col2im(
     """Adjoint of :func:`im2col`: scatter-add columns back into image shape.
 
     Overlapping receptive fields accumulate, which is exactly the gradient of
-    ``im2col`` — and the forward pass of a transposed convolution.
+    ``im2col`` — and the forward pass of a transposed convolution.  The
+    result is an ``(N, C, H, W)`` view of a channel-major canvas.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
@@ -126,24 +136,27 @@ def col2im(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
 
-    expected_rows = n * out_h * out_w
-    expected_cols = c * kh * kw
-    if cols.shape != (expected_rows, expected_cols):
+    expected = (c * kh * kw, n * out_h * out_w)
+    if cols.shape != expected:
         raise ShapeError(
-            f"col2im expects cols of shape ({expected_rows}, {expected_cols}), "
-            f"got {cols.shape}"
+            f"col2im expects cols of shape {expected}, got {cols.shape}"
         )
 
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    cols6 = cols.reshape(c, kh, kw, n, out_h, out_w)
+    canvas = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + sh * out_h
         for j in range(kw):
             j_max = j + sw * out_w
-            x_padded[:, :, i:i_max:sh, j:j_max:sw] += cols6[:, :, i, j, :, :]
-    if ph or pw:
-        return x_padded[:, :, ph : ph + h, pw : pw + w]
-    return x_padded
+            canvas[:, :, i:i_max:sh, j:j_max:sw] += cols6[:, i, j]
+    return canvas[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
+
+
+def _channel_major(x: np.ndarray) -> np.ndarray:
+    """``(N, C, H, W)`` as the ``(C, N*H*W)`` matrix the GEMMs consume
+    (free when ``x`` already sits in channel-major memory order)."""
+    n, c, h, w = x.shape
+    return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
 
 
 # -- convolution ---------------------------------------------------------
@@ -168,18 +181,19 @@ def conv2d_forward(
 
     Returns
     -------
-    ``(out, cols)`` — the ``(N, C_out, out_h, out_w)`` output and the im2col
-    matrix the backward pass reuses.
+    ``(out, cols)`` — the ``(N, C_out, out_h, out_w)`` output (a view of
+    the channel-major ``W @ cols`` product) and the im2col matrix the
+    backward pass reuses.
     """
     n = x.shape[0]
     c_out, _, kh, kw = weight.shape
     out_h = conv_output_size(x.shape[2], kh, stride[0], padding[0])
     out_w = conv_output_size(x.shape[3], kw, stride[1], padding[1])
     cols = im2col(x, (kh, kw), stride, padding)
-    out = cols @ weight.reshape(c_out, -1).T
+    out = weight.reshape(c_out, -1) @ cols
     if bias is not None:
-        out = out + bias
-    return out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2), cols
+        out += bias[:, None]
+    return out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3), cols
 
 
 @profiled
@@ -198,14 +212,14 @@ def conv2d_backward(
     the im2col matrix cached by :func:`conv2d_forward`, and the layer
     geometry.  ``grad_bias`` is ``None`` when ``with_bias`` is false.
     """
-    n, c_out, out_h, out_w = grad_output.shape
+    c_out = grad_output.shape[1]
     kh, kw = weight.shape[2], weight.shape[3]
-    grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c_out)
+    grad_mat = _channel_major(grad_output)
 
-    grad_weight = (grad_rows.T @ cols).reshape(weight.shape)
-    grad_bias = grad_rows.sum(axis=0) if with_bias else None
+    grad_weight = (grad_mat @ cols.T).reshape(weight.shape)
+    grad_bias = grad_mat.sum(axis=1) if with_bias else None
 
-    grad_cols = grad_rows @ weight.reshape(c_out, -1)
+    grad_cols = weight.reshape(c_out, -1).T @ grad_mat
     grad_x = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
     return grad_x, grad_weight, grad_bias
 
@@ -252,10 +266,9 @@ def conv_transpose2d(
     out_h = conv_transpose_output_size(h, kh, stride_p[0], padding_p[0])
     out_w = conv_transpose_output_size(w, kw, stride_p[1], padding_p[1])
 
-    # Rows of `cols` correspond to input positions; scatter-add them into the
-    # (larger) output canvas. This mirrors the conv backward-data pass.
-    x_rows = x.transpose(0, 2, 3, 1).reshape(n * h * w, c_in)
-    cols = x_rows @ weight.reshape(c_in, c_out * kh * kw)
+    # Columns of `cols` correspond to input positions; scatter-add them into
+    # the (larger) output canvas. This mirrors the conv backward-data pass.
+    cols = weight.reshape(c_in, c_out * kh * kw).T @ _channel_major(x)
     return col2im(
         cols, (n, c_out, out_h, out_w), (kh, kw), stride_p, padding_p
     )
@@ -296,12 +309,10 @@ def conv_transpose2d_backward(
     # dL/dx: a plain convolution of grad_output with the same kernel.
     cols = im2col(grad_output, (kh, kw), stride, padding)
     w_mat = weight.reshape(c_in, -1)  # (C_in, C_out*kh*kw)
-    grad_x_rows = cols @ w_mat.T
-    grad_x = grad_x_rows.reshape(n, h, w, c_in).transpose(0, 3, 1, 2)
+    grad_x = (w_mat @ cols).reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
 
-    # dL/dW: correlate input rows with grad_output receptive fields.
-    x_rows = x.transpose(0, 2, 3, 1).reshape(n * h * w, c_in)
-    grad_weight = (x_rows.T @ cols).reshape(weight.shape)
+    # dL/dW: correlate input channels with grad_output receptive fields.
+    grad_weight = (_channel_major(x) @ cols.T).reshape(weight.shape)
     grad_bias = grad_output.sum(axis=(0, 2, 3)) if with_bias else None
     return grad_x, grad_weight, grad_bias
 
@@ -341,16 +352,15 @@ def _pool_patches(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Pooling windows as ``(N, C, out_h, out_w, kh*kw)`` plus out sizes."""
+) -> np.ndarray:
+    """Pooling windows as ``(kh*kw, N, C, out_h, out_w)``."""
     n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride[0], padding[0])
-    out_w = conv_output_size(w, kw, stride[1], padding[1])
-    # Treat channels as independent single-channel images so each row of
-    # the unrolled matrix is exactly one pooling window.
+    out_h = conv_output_size(h, kernel[0], stride[0], padding[0])
+    out_w = conv_output_size(w, kernel[1], stride[1], padding[1])
+    # Treat channels as independent single-channel images so each column
+    # of the unrolled matrix is exactly one pooling window.
     cols = im2col(x.reshape(n * c, 1, h, w), kernel, stride, padding)
-    return cols.reshape(n, c, out_h, out_w, kh * kw), (out_h, out_w)
+    return cols.reshape(kernel[0] * kernel[1], n, c, out_h, out_w)
 
 
 @profiled
@@ -361,10 +371,8 @@ def maxpool2d_forward(
     padding: Tuple[int, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Max pooling; returns ``(out, argmax)`` for the backward scatter."""
-    patches, (out_h, out_w) = _pool_patches(x, kernel, stride, padding)
-    n, c = x.shape[:2]
-    argmax = patches.argmax(axis=-1)
-    return patches.max(axis=-1).reshape(n, c, out_h, out_w), argmax
+    patches = _pool_patches(x, kernel, stride, padding)
+    return patches.max(axis=0), patches.argmax(axis=0)
 
 
 @profiled
@@ -381,9 +389,9 @@ def maxpool2d_backward(
     out_h, out_w = grad_output.shape[2], grad_output.shape[3]
     kh, kw = kernel
 
-    grad_patches = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad_output.dtype)
-    np.put_along_axis(grad_patches, argmax[..., None], grad_output[..., None], axis=-1)
-    cols = grad_patches.reshape(n * c * out_h * out_w, kh * kw)
+    grad_patches = np.zeros((kh * kw, n, c, out_h, out_w), dtype=grad_output.dtype)
+    np.put_along_axis(grad_patches, argmax[None], grad_output[None], axis=0)
+    cols = grad_patches.reshape(kh * kw, n * c * out_h * out_w)
     grad_x = col2im(cols, (n * c, 1, h, w), kernel, stride, padding)
     return grad_x.reshape(n, c, h, w)
 
@@ -396,9 +404,8 @@ def avgpool2d_forward(
     padding: Tuple[int, int],
 ) -> np.ndarray:
     """Average pooling over spatial windows."""
-    patches, (out_h, out_w) = _pool_patches(x, kernel, stride, padding)
-    n, c = x.shape[:2]
-    return patches.mean(axis=-1).reshape(n, c, out_h, out_w)
+    patches = _pool_patches(x, kernel, stride, padding)
+    return patches.mean(axis=0)
 
 
 @profiled
@@ -416,9 +423,9 @@ def avgpool2d_backward(
 
     window = float(kh * kw)
     grad_patches = np.broadcast_to(
-        (grad_output / window)[..., None], (n, c, out_h, out_w, kh * kw)
+        (grad_output / window)[None], (kh * kw, n, c, out_h, out_w)
     )
-    cols = np.ascontiguousarray(grad_patches).reshape(n * c * out_h * out_w, kh * kw)
+    cols = np.ascontiguousarray(grad_patches).reshape(kh * kw, n * c * out_h * out_w)
     grad_x = col2im(cols, (n * c, 1, h, w), kernel, stride, padding)
     return grad_x.reshape(n, c, h, w)
 

@@ -21,6 +21,8 @@ from repro.nn.layers.base import Layer
 class ReLU(Layer):
     """Rectified linear unit, ``max(x, 0)``."""
 
+    _cache_attrs = ("_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -38,6 +40,8 @@ class ReLU(Layer):
 
 class LeakyReLU(Layer):
     """Leaky ReLU with configurable negative-side slope."""
+
+    _cache_attrs = ("_mask",)
 
     def __init__(self, negative_slope: float = 0.01) -> None:
         super().__init__()
@@ -69,6 +73,8 @@ class Sigmoid(Layer):
     land in [0, 1] like the normalized input images.
     """
 
+    _cache_attrs = ("_out",)
+
     def __init__(self) -> None:
         super().__init__()
         self._out: Optional[np.ndarray] = None
@@ -85,6 +91,8 @@ class Sigmoid(Layer):
 
 class Tanh(Layer):
     """Hyperbolic tangent activation."""
+
+    _cache_attrs = ("_out",)
 
     def __init__(self) -> None:
         super().__init__()

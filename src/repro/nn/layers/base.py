@@ -9,8 +9,10 @@ Every layer implements
 * ``parameters()`` — the list of trainable :class:`Parameter` objects.
 
 Layers are single-use per step: ``backward`` consumes the cache left by the
-most recent ``forward``.  The :class:`repro.nn.Sequential` container chains
-them and the :class:`repro.nn.Trainer` drives the loop.
+most recent ``forward``.  :meth:`Layer.release_cache` drops that cache, which
+is how the compiled scoring plan keeps no training state between requests.
+The :class:`repro.nn.Sequential` container chains them and the
+:class:`repro.nn.Trainer` drives the loop.
 
 Every layer carries a dtype from the precision policy
 (:mod:`repro.nn.backend.policy`), defaulting to float64 for training;
@@ -20,7 +22,7 @@ float32 inference path is switched on after a model is fitted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,26 +39,40 @@ class Parameter:
         The parameter tensor, updated in place by optimizers.
     grad:
         Gradient of the loss with respect to ``value``; same shape.
-        Reset with :meth:`zero_grad` between steps.
+        Allocated as zeros on first use, so a model that only scores never
+        holds gradient buffers.  Reset with :meth:`zero_grad` between steps.
     name:
         Human-readable identifier used in checkpoints and error messages.
     """
 
     def __init__(self, value: np.ndarray, name: str = "param", dtype: Any = None) -> None:
         self.value = as_tensor(value, dtype)
-        self.grad = np.zeros_like(self.value)
+        self._grad: Optional[np.ndarray] = None
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient (zeros until a backward pass adds to it)."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to zero."""
-        self.grad.fill(0.0)
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
     def astype(self, dtype: Any) -> "Parameter":
         """Recast value and gradient to a policy dtype, in place."""
         target = resolve_dtype(dtype)
         if self.value.dtype != target:
             self.value = self.value.astype(target)
-            self.grad = self.grad.astype(target)
+            if self._grad is not None:
+                self._grad = self._grad.astype(target)
         return self
 
     @property
@@ -76,9 +92,13 @@ class Parameter:
 class Layer:
     """Base class for all layers.
 
-    Subclasses must implement :meth:`forward` and :meth:`backward` and
-    register their :class:`Parameter` objects in ``self._params``.
+    Subclasses must implement :meth:`forward` and :meth:`backward`,
+    register their :class:`Parameter` objects in ``self._params``, and name
+    the attributes holding their backward cache in ``_cache_attrs``.
     """
+
+    #: Attributes a forward pass fills for the following backward pass.
+    _cache_attrs: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._params: List[Parameter] = []
@@ -119,6 +139,15 @@ class Layer:
         returns dL/d input.  Must be called after :meth:`forward`.
         """
         raise NotImplementedError
+
+    def release_cache(self) -> None:
+        """Drop the backward cache of the last forward pass.
+
+        A :meth:`backward` call after this raises ``ShapeError`` until the
+        next forward pass refills the cache.
+        """
+        for attr in self._cache_attrs:
+            setattr(self, attr, None)
 
     def parameters(self) -> List[Parameter]:
         """All trainable parameters of this layer."""

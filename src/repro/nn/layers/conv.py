@@ -40,6 +40,8 @@ class Conv2d(Layer):
     ``(out_channels, in_channels, kh, kw)``.
     """
 
+    _cache_attrs = ("_cols", "_x_shape")
+
     def __init__(
         self,
         in_channels: int,
@@ -141,6 +143,8 @@ class ConvTranspose2d(Layer):
     so conv followed by conv-transpose restores spatial dimensions — the
     property VisualBackProp relies on to align feature maps across layers.
     """
+
+    _cache_attrs = ("_x",)
 
     def __init__(
         self,

@@ -30,6 +30,8 @@ class Dense(Layer):
         Seed or generator for weight initialization.
     """
 
+    _cache_attrs = ("_x",)
+
     def __init__(
         self,
         in_features: int,

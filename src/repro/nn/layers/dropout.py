@@ -20,6 +20,8 @@ class Dropout(Layer):
     reproducible end to end.
     """
 
+    _cache_attrs = ("_mask",)
+
     def __init__(self, p: float = 0.5, rng: RngLike = None) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:

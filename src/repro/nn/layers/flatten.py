@@ -14,6 +14,8 @@ from repro.nn.layers.base import Layer
 class Flatten(Layer):
     """Reshape ``(N, ...)`` to ``(N, prod(...))`` and back in backward."""
 
+    _cache_attrs = ("_shape",)
+
     def __init__(self) -> None:
         super().__init__()
         self._shape: Optional[Tuple[int, ...]] = None

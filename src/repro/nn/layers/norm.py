@@ -18,6 +18,8 @@ class _BatchNorm(Layer):
     moments for inference.
     """
 
+    _cache_attrs = ("_cache",)
+
     def __init__(
         self,
         num_features: int,

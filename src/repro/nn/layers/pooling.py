@@ -15,6 +15,8 @@ from repro.nn.layers.base import Layer, as_batch
 class _Pool2d(Layer):
     """Shared plumbing for 2-D pooling layers."""
 
+    _cache_attrs = ("_x_shape",)
+
     def __init__(self, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0) -> None:
         super().__init__()
         self.kernel_size = _pair(kernel_size, "kernel_size")
@@ -40,6 +42,8 @@ class _Pool2d(Layer):
 
 class MaxPool2d(_Pool2d):
     """Max pooling over spatial windows."""
+
+    _cache_attrs = ("_x_shape", "_argmax")
 
     def __init__(self, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0) -> None:
         super().__init__(kernel_size, stride, padding)

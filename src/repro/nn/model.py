@@ -30,7 +30,6 @@ class Sequential(Layer):
         if not layers:
             raise ShapeError("Sequential requires at least one layer")
         self.layers: List[Layer] = list(layers)
-        self._last_input: np.ndarray = None
 
     def set_policy(self, dtype) -> "Sequential":
         """Switch the whole chain (and this container) to a policy dtype."""
@@ -79,6 +78,10 @@ class Sequential(Layer):
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
+
+    def release_cache(self) -> None:
+        for layer in self.layers:
+            layer.release_cache()
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Merged state of every layer, with indexed keys to avoid clashes."""

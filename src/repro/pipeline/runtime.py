@@ -229,7 +229,7 @@ def compile_plan(detector) -> ScoringPlan:
         one_class = detector.one_class
         plan = ScoringPlan(
             [
-                CnnForwardStage(model),
+                CnnForwardStage(model, saliency_method),
                 SteeringHeadStage(model),
                 SaliencyCascadeStage(saliency_method),
                 ReconstructStage(one_class),

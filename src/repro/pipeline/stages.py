@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.exceptions import StageError
+from repro.nn.backend.policy import as_tensor
 
 
 @runtime_checkable
@@ -109,23 +110,54 @@ def _require(ctx_value, producer: str, consumer: str):
     return ctx_value
 
 
+def _scoring_forward(
+    model, x: np.ndarray, keep_backward_state: bool, activations: Optional[list] = None
+) -> np.ndarray:
+    """Eval-mode forward through ``model.layers``, appending each layer's
+    output to ``activations`` when given.
+
+    Unless ``keep_backward_state``, every layer drops its backward cache
+    (im2col columns, ReLU masks, layer inputs) as soon as its forward has
+    returned: the next layer already holds what it needs, so no training
+    state outlives the call — nor is it inherited by forked pool replicas.
+    """
+    out = as_tensor(x, model.dtype)
+    for layer in model.layers:
+        out = layer.forward(out, training=False)
+        if not keep_backward_state:
+            layer.release_cache()
+        if activations is not None:
+            activations.append(out)
+    return out
+
+
 class CnnForwardStage:
-    """Single forward pass through the prediction CNN, caching activations."""
+    """Single forward pass through the prediction CNN, caching activations.
+
+    The layers keep their backward caches only when the plan's saliency
+    ``method`` backpropagates through the model after this stage
+    (``SaliencyMethod.runs_backward``, i.e. gradient saliency).
+    """
 
     name = "cnn_forward"
 
-    def __init__(self, model) -> None:
+    def __init__(self, model, method=None) -> None:
         self.model = model
+        self.keep_backward_state = bool(getattr(method, "runs_backward", False))
 
     def run(self, batch: np.ndarray, ctx: StageContext) -> None:
-        out, activations = self.model.forward_with_activations(
-            batch[:, None, :, :], training=False
+        activations: List[np.ndarray] = []
+        ctx.model_output = _scoring_forward(
+            self.model, batch[:, None, :, :], self.keep_backward_state, activations
         )
-        ctx.model_output = out
         ctx.activations = activations
 
     def describe(self) -> str:
-        return f"forward_with_activations, dtype {np.dtype(self.model.dtype).name}"
+        state = "kept" if self.keep_backward_state else "released"
+        return (
+            f"forward with activations, backward state {state}, "
+            f"dtype {np.dtype(self.model.dtype).name}"
+        )
 
 
 class SteeringHeadStage:
@@ -192,7 +224,9 @@ class ReconstructStage:
             h, w = oc.image_shape
             model_input = flat.reshape(flat.shape[0], 1, h, w)
         ctx.flat = flat
-        ctx.recon_flat = oc.autoencoder.predict(model_input)
+        ctx.recon_flat = _scoring_forward(
+            oc.autoencoder, model_input, keep_backward_state=False
+        )
         ctx.recon = ctx.recon_flat.reshape(np.asarray(inputs).shape)
 
     def describe(self) -> str:

@@ -17,6 +17,11 @@ class SaliencyMethod:
     itself to a model running a different policy.
     """
 
+    #: Whether :meth:`_compute_from_forward` backpropagates through the
+    #: model, so a compiled plan's ``cnn_forward`` must keep each layer's
+    #: backward cache for it.
+    runs_backward = False
+
     @property
     def dtype(self) -> np.dtype:
         """The dtype this method computes masks in.

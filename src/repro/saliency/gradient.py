@@ -17,6 +17,8 @@ from repro.saliency.base import SaliencyMethod
 class GradientSaliency(SaliencyMethod):
     """``|d output / d input|`` saliency via the model's backward pass."""
 
+    runs_backward = True
+
     def __init__(self, model: Sequential) -> None:
         self.model = model
 

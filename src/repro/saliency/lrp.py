@@ -69,16 +69,14 @@ class LayerwiseRelevancePropagation(SaliencyMethod):
         return x * (s @ layer.weight.value.T)
 
     def _relevance_conv(self, layer: Conv2d, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
         cols = im2col(x, layer.kernel_size, layer.stride, layer.padding)
         w_mat = layer.weight.value.reshape(layer.out_channels, -1)
-        z = cols @ w_mat.T
+        z = w_mat @ cols
         if layer.bias is not None:
-            z = z + layer.bias.value
-        out_h, out_w = r.shape[2], r.shape[3]
-        r_rows = r.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, layer.out_channels)
-        s = r_rows / self._stabilize(z, self.epsilon)
-        contrib_cols = (s @ w_mat) * cols
+            z += layer.bias.value[:, None]
+        r_mat = r.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)
+        s = r_mat / self._stabilize(z, self.epsilon)
+        contrib_cols = (w_mat.T @ s) * cols
         return col2im(contrib_cols, x.shape, layer.kernel_size, layer.stride, layer.padding)
 
     def _compute(self, frames: np.ndarray) -> np.ndarray:

@@ -155,9 +155,16 @@ class VisualBackProp(SaliencyMethod):
         return kernel
 
     def _averaged_maps_from(self, activations) -> List[np.ndarray]:
-        """Channel-averaged per-stage maps from cached activations."""
+        """Channel-averaged per-stage maps from cached activations.
+
+        Channels are moved to a contiguous last axis first, so numpy sums
+        them pairwise whatever memory order the CNN left its activations
+        in (channel-major, from the im2col GEMM); the masks do not depend
+        on that layout.
+        """
         return [
-            activations[stage.feature_index].mean(axis=1, keepdims=True)
+            np.ascontiguousarray(np.moveaxis(activations[stage.feature_index], 1, -1))
+            .mean(axis=-1)[:, None]
             for stage in self._stages
         ]
 

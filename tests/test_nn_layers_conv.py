@@ -51,26 +51,49 @@ class TestShapeAlgebra:
         assert size - (stride - 1) <= back <= size
 
 
+def _row_major_im2col(x, kernel, stride, padding):
+    """Reference im2col: one row per output position, one loop per pixel."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    rows = [
+        padded[b, :, i * sh : i * sh + kh, j * sw : j * sw + kw].ravel()
+        for b in range(n)
+        for i in range(out_h)
+        for j in range(out_w)
+    ]
+    return np.array(rows)
+
+
 class TestIm2Col:
     def test_known_values_identity_kernel(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         cols = im2col(x, (2, 2), (1, 1), (0, 0))
-        assert cols.shape == (9, 4)
-        np.testing.assert_array_equal(cols[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[-1], [10, 11, 14, 15])
+        assert cols.shape == (4, 9)
+        np.testing.assert_array_equal(cols[:, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(cols[:, -1], [10, 11, 14, 15])
 
     def test_stride_skips_positions(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         cols = im2col(x, (2, 2), (2, 2), (0, 0))
         assert cols.shape == (4, 4)
-        np.testing.assert_array_equal(cols[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(cols[:, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(cols[:, 1], [2, 3, 6, 7])
 
     def test_padding_adds_zeros(self):
         x = np.ones((1, 1, 2, 2))
         cols = im2col(x, (3, 3), (1, 1), (1, 1))
         # Corner window sees 4 ones (image) + 5 zeros (padding).
-        assert cols[0].sum() == 4.0
+        assert cols[:, 0].sum() == 4.0
+
+    def test_matches_row_major_reference_transposed(self, rng):
+        x = rng.normal(size=(2, 3, 6, 7))
+        geometry = ((3, 2), (2, 1), (1, 0))
+        np.testing.assert_array_equal(
+            im2col(x, *geometry), _row_major_im2col(x, *geometry).T
+        )
 
     def test_col2im_is_adjoint_of_im2col(self, rng):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
