@@ -1,9 +1,9 @@
 """Micro-benchmarks for the numpy substrate.
 
 Not paper artifacts — these track the throughput of the hot paths every
-experiment depends on (convolution, SSIM + gradient, autoencoder training
-steps), so performance regressions in the substrate are visible separately
-from the figure-level results.
+experiment depends on (convolution, SSIM's window kernel, SSIM + gradient,
+autoencoder training steps), so performance regressions in the substrate
+are visible separately from the figure-level results.
 """
 
 import numpy as np
@@ -56,6 +56,16 @@ def test_conv_transpose2d_kernel_paper_geometry(benchmark):
     mask = np.random.default_rng(0).random((8, 1, 28, 78))
     out = benchmark(kernels.conv_transpose2d, mask, np.ones((1, 1, 5, 5)), 2, 0)
     assert out.shape == (8, 1, 59, 159)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("geometry", [(24, 64), (60, 160)], ids=["ci", "paper"])
+def test_window_mean_kernel(benchmark, geometry, dtype):
+    """SSIM's 11x11 window mean over the five stacked statistics of a
+    batch of 8, as the similarity stage calls it."""
+    stats = np.random.default_rng(0).random((5, 8) + geometry).astype(dtype)
+    out = benchmark(kernels.window_mean, stats, 11)
+    assert out.shape == stats.shape and out.dtype == stats.dtype
 
 
 def test_ssim_metric(benchmark, frames):

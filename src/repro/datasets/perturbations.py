@@ -10,13 +10,14 @@
   fool CNNs (Engstrom et al.; DeepTest).
 
 All functions are pure (they never modify their input) and operate on
-``(H, W)`` images or ``(N, H, W)`` batches in [0, 1].
+``(H, W)`` images or ``(N, H, W)`` batches in [0, 1].  The ones built on
+``scipy.ndimage`` import it when called, so importing :mod:`repro.datasets`
+(which the serving stack does) never loads SciPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.image.filters import gaussian_blur
@@ -112,6 +113,8 @@ def rotate(image: np.ndarray, degrees: float) -> np.ndarray:
     image = _check(image, "rotate")
     if image.ndim == 3:
         return np.stack([rotate(im, degrees) for im in image])
+    from scipy import ndimage
+
     return ndimage.rotate(
         image, degrees, reshape=False, order=1, mode="nearest"
     )
@@ -120,6 +123,8 @@ def rotate(image: np.ndarray, degrees: float) -> np.ndarray:
 def translate(image: np.ndarray, shift_rows: int, shift_cols: int) -> np.ndarray:
     """Translate by whole pixels (nearest-edge padding)."""
     image = _check(image, "translate")
+    from scipy import ndimage
+
     shifts = (0,) * (image.ndim - 2) + (shift_rows, shift_cols)
     return ndimage.shift(image, shifts, order=0, mode="nearest")
 

@@ -1,9 +1,13 @@
-"""Spatial filters used by the dataset renderers and perturbations."""
+"""Spatial filters used by the dataset renderers and perturbations.
+
+These are offline augmentation and diagnostics helpers, so each imports
+``scipy.ndimage`` inside the function: importing :mod:`repro` or scoring a
+frame never loads SciPy.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.backend.policy import as_tensor
@@ -23,6 +27,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return image.copy()
+    from scipy import ndimage
+
     sigmas = (0,) * (image.ndim - 2) + (sigma, sigma)
     return ndimage.gaussian_filter(image, sigma=sigmas, mode="nearest")
 
@@ -32,12 +38,16 @@ def uniform_blur(image: np.ndarray, size: int) -> np.ndarray:
     image = _check_image(image, "uniform_blur")
     if size < 1:
         raise ConfigurationError(f"size must be >= 1, got {size}")
+    from scipy import ndimage
+
     sizes = (1,) * (image.ndim - 2) + (size, size)
     return ndimage.uniform_filter(image, size=sizes, mode="nearest")
 
 
 def sobel_magnitude(image: np.ndarray) -> np.ndarray:
     """Sobel gradient magnitude — an edge map used for mask diagnostics."""
+    from scipy import ndimage
+
     image = _check_image(image, "sobel_magnitude")
     gy = ndimage.sobel(image, axis=-2, mode="nearest")
     gx = ndimage.sobel(image, axis=-1, mode="nearest")

@@ -20,6 +20,11 @@ Two details matter for this library:
   padding, and the final score averages the SSIM map over the *valid*
   interior region where windows do not overhang the border.  Zero padding
   makes the window operator *self-adjoint*, which keeps the gradient exact.
+  The operator is the profiled numpy kernel
+  :func:`repro.nn.backend.kernels.window_mean`; the five window statistics
+  of a batch (and the three back-projections of the gradient) go through
+  it as one stacked call, so the kernel profile covers SSIM and scoring
+  needs no SciPy.
 
 * **Gradient.** :func:`ssim_and_grad` returns the analytic gradient of the
   mean SSIM with respect to the second image ``y`` so SSIM can be used as a
@@ -35,9 +40,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.nn.backend.kernels import window_mean
 from repro.nn.backend.policy import as_tensor, result_dtype
 from repro.utils.validation import require_same_shape
 
@@ -73,10 +78,13 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _validate(x: np.ndarray, y: np.ndarray, window_size: int) -> Tuple[np.ndarray, np.ndarray]:
+def _prepare(
+    x: np.ndarray, y: np.ndarray, window_size: int, window: str, sigma: float
+) -> Tuple[np.ndarray, np.ndarray, "_Window"]:
+    """Validated, dtype-coerced inputs plus their window operator."""
     # SSIM follows its inputs: two float32 images are scored in float32
-    # (the scipy windowing below preserves dtype), everything else in
-    # float64 as before.
+    # (the window kernel computes in its input's dtype), everything else
+    # in float64 as before.
     dtype = result_dtype(np.asarray(x), np.asarray(y))
     x = as_tensor(x, dtype)
     y = as_tensor(y, dtype)
@@ -94,7 +102,7 @@ def _validate(x: np.ndarray, y: np.ndarray, window_size: int) -> Tuple[np.ndarra
         raise ConfigurationError(
             f"window_size {window_size} exceeds image size {h}x{w}"
         )
-    return x, y
+    return x, y, _Window(window_size, window, sigma)
 
 
 class _Window:
@@ -111,18 +119,12 @@ class _Window:
                 f"window kind must be 'uniform' or 'gaussian', got {kind!r}"
             )
         self.size = window_size
-        self.kind = kind
-        self.sigma = sigma
-        if kind == "gaussian":
-            self._kernel1d = _gaussian_kernel(window_size, sigma)
+        self._kernel1d = _gaussian_kernel(window_size, sigma) if kind == "gaussian" else None
 
     def apply(self, img: np.ndarray) -> np.ndarray:
-        """Correlate ``img`` with the window along its last two axes."""
-        if self.kind == "uniform":
-            size = (1,) * (img.ndim - 2) + (self.size, self.size)
-            return ndimage.uniform_filter(img, size=size, mode="constant", cval=0.0)
-        out = ndimage.correlate1d(img, self._kernel1d, axis=-1, mode="constant", cval=0.0)
-        return ndimage.correlate1d(out, self._kernel1d, axis=-2, mode="constant", cval=0.0)
+        """Correlate ``img`` with the window along its last two axes,
+        overwriting ``img`` (every caller passes a scratch stack)."""
+        return window_mean(img, self.size, self._kernel1d, out=img)
 
     def valid_slices(self, shape: Tuple[int, ...]) -> Tuple[slice, slice]:
         """Interior region where windows never overhang the image border."""
@@ -145,11 +147,8 @@ def _raw_maps(
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
 
-    mu_x = window.apply(x)
-    mu_y = window.apply(y)
-    e_xx = window.apply(x * x)
-    e_yy = window.apply(y * y)
-    e_xy = window.apply(x * y)
+    stats = np.stack((x, y, x * x, y * y, x * y))
+    mu_x, mu_y, e_xx, e_yy, e_xy = window.apply(stats)
 
     var_x = e_xx - mu_x**2
     var_y = e_yy - mu_y**2
@@ -160,6 +159,11 @@ def _raw_maps(
     b1 = mu_x**2 + mu_y**2 + c1
     b2 = var_x + var_y + c2
     return mu_x, mu_y, var_x, var_y, cov_xy, a1, a2, b1, b2, c1, c2
+
+
+def _ssim_map(x, y, win, data_range, k1, k2) -> np.ndarray:
+    *_, a1, a2, b1, b2, _, _ = _raw_maps(x, y, win, data_range, k1, k2)
+    return (a1 * a2) / (b1 * b2)
 
 
 def ssim_map(
@@ -177,10 +181,8 @@ def ssim_map(
     Border pixels whose windows overhang the image use zero padding; prefer
     :func:`ssim` (which averages only the valid interior) for scalar scores.
     """
-    x, y = _validate(x, y, window_size)
-    win = _Window(window_size, window, sigma)
-    *_, a1, a2, b1, b2, _, _ = _raw_maps(x, y, win, data_range, k1, k2)
-    return (a1 * a2) / (b1 * b2)
+    x, y, win = _prepare(x, y, window_size, window, sigma)
+    return _ssim_map(x, y, win, data_range, k1, k2)
 
 
 def ssim(
@@ -199,9 +201,8 @@ def ssim(
     an ``(N,)`` vector of per-image scores.  Scores lie in ``[-1, 1]`` with
     1.0 meaning perfect correspondence (see paper §III-C).
     """
-    x, y = _validate(x, y, window_size)
-    win = _Window(window_size, window, sigma)
-    smap = ssim_map(x, y, window_size, data_range, k1, k2, window, sigma)
+    x, y, win = _prepare(x, y, window_size, window, sigma)
+    smap = _ssim_map(x, y, win, data_range, k1, k2)
     rows, cols = win.valid_slices(x.shape)
     valid = smap[..., rows, cols]
     if x.ndim == 2:
@@ -226,8 +227,7 @@ def ssim_components(
     contrast :math:`(2\\sigma_x\\sigma_y+c_2)/(\\sigma_x^2+\\sigma_y^2+c_2)`,
     structure :math:`(\\sigma_{xy}+c_3)/(\\sigma_x\\sigma_y+c_3)`.
     """
-    x, y = _validate(x, y, window_size)
-    win = _Window(window_size, window, sigma)
+    x, y, win = _prepare(x, y, window_size, window, sigma)
     _, _, var_x, var_y, cov_xy, a1, _, b1, _, _, c2 = _raw_maps(
         x, y, win, data_range, k1, k2
     )
@@ -270,8 +270,7 @@ def ssim_and_grad(
 
     where the per-window terms :math:`g_\\cdot` are computed below.
     """
-    x, y = _validate(x, y, window_size)
-    win = _Window(window_size, window, sigma)
+    x, y, win = _prepare(x, y, window_size, window, sigma)
     mu_x, mu_y, _, _, _, a1, a2, b1, b2, _, _ = _raw_maps(
         x, y, win, data_range, k1, k2
     )
@@ -313,5 +312,6 @@ def ssim_and_grad(
     g_e_yy = g_b2
     g_e_xy = 2.0 * g_a2
 
-    grad = win.apply(g_mu_y) + 2.0 * y * win.apply(g_e_yy) + x * win.apply(g_e_xy)
+    f_mu_y, f_e_yy, f_e_xy = win.apply(np.stack((g_mu_y, g_e_yy, g_e_xy)))
+    grad = f_mu_y + 2.0 * y * f_e_yy + x * f_e_xy
     return score, grad

@@ -9,7 +9,8 @@ Two modules:
 
 * :mod:`repro.nn.backend.policy` — ``DTypePolicy`` and the coercion helpers.
 * :mod:`repro.nn.backend.kernels` — stateless forward/backward kernels
-  (im2col convolution, transposed convolution, dense, pooling, activations)
+  (im2col convolution, transposed convolution, dense, pooling, activations,
+  and SSIM's window mean)
   that preserve the dtype of their inputs.  The stateful ``Layer`` classes
   in :mod:`repro.nn.layers` are thin wrappers over these functions, which is
   what lets alternative backends (threaded kernels, blocked GEMM) slot in
@@ -40,6 +41,7 @@ from repro.nn.backend.kernels import (
     sigmoid_forward,
     tanh_backward,
     tanh_forward,
+    window_mean,
 )
 from repro.nn.backend.policy import (
     FLOAT32,
@@ -102,4 +104,5 @@ __all__ = [
     "sigmoid_forward",
     "tanh_backward",
     "tanh_forward",
+    "window_mean",
 ]

@@ -20,6 +20,8 @@ forward pass, and pooling and LRP consume the same matrix.
 :func:`conv_transpose2d` is also used directly by :mod:`repro.saliency.vbp`:
 VisualBackProp upscales averaged feature maps with a ones-kernel transposed
 convolution matching each convolution layer's geometry.
+:func:`window_mean` is SSIM's zero-padded local-mean operator
+(:mod:`repro.metrics.ssim`): shifted-slice adds, no BLAS call.
 
 Every public kernel is wrapped by :func:`repro.nn.backend.profiler.profiled`
 — a no-op unless a kernel profiler is installed (``repro profile``, the
@@ -428,6 +430,98 @@ def avgpool2d_backward(
     cols = np.ascontiguousarray(grad_patches).reshape(kh * kw, n * c * out_h * out_w)
     grad_x = col2im(cols, (n * c, 1, h, w), kernel, stride, padding)
     return grad_x.reshape(n, c, h, w)
+
+
+# -- window mean ----------------------------------------------------------
+
+#: Bytes of padded images :func:`window_mean` filters per step.
+_WINDOW_CHUNK_BYTES = 1 << 17
+
+
+def _window_taps(
+    source: np.ndarray, size: int, weights: Optional[np.ndarray], step: int, out: np.ndarray
+) -> np.ndarray:
+    """``out[m] = sum_k w[k] * source[m + k*step]`` for ``m < n``, where
+    ``n = source.size - (size - 1) * step``; returns ``out[:n]``.
+
+    Every tap is one contiguous 1-D operation.  The uniform box sums
+    windows by doubling (runs of 2, 4, 8, ... taps, combined along the
+    binary digits of ``size``), so an 11-tap box costs 5 adds, not 10.
+    """
+    n = source.size - (size - 1) * step
+    total = out[:n]
+    if weights is not None:
+        np.multiply(source[:n], weights[0], out=total)
+        for k in range(1, size):
+            total += weights[k] * source[k * step : k * step + n]
+        return total
+    run, width, offset, remaining = source, 1, 0, size
+    while True:
+        if remaining & 1:
+            part = run[offset * step : offset * step + n]
+            if offset:
+                total += part
+            else:
+                np.copyto(total, part)
+            offset += width
+        remaining >>= 1
+        if not remaining:
+            break
+        run = run[: run.size - width * step] + run[width * step :]
+        width *= 2
+    total /= size
+    return total
+
+
+@profiled
+def window_mean(
+    x: np.ndarray,
+    size: int,
+    weights: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Normalized ``size x size`` window mean over the trailing two axes.
+
+    Correlates ``x`` with the uniform box (``weights=None``) or with the
+    separable window ``weights ⊗ weights`` (``weights`` a normalized 1-D
+    kernel of length ``size``), reading zeros beyond the border.  Zero
+    padding makes the operator self-adjoint, which SSIM's gradient relies
+    on.  Leading axes are independent images, so callers stack several
+    statistics into one call.  Computes in ``x``'s dtype; ``out`` may
+    alias ``x``.
+    """
+    if size < 1 or size % 2 == 0:
+        raise ShapeError(f"window size must be a positive odd integer, got {size}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=x.dtype)
+        if weights.shape != (size,):
+            raise ShapeError(f"window weights must have shape ({size},), got {weights.shape}")
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {x.shape} array")
+    h, w = x.shape[-2:]
+    half = size // 2
+    padded_shape = (h + 2 * half, w + 2 * half)
+    images, targets = x.reshape(-1, h, w), out.reshape(-1, h, w)
+    # Work through the stack a few images at a time, so every temporary
+    # stays in cache and in the allocator's reused heap.
+    chunk = max(1, _WINDOW_CHUNK_BYTES // (padded_shape[0] * padded_shape[1] * x.itemsize))
+    for start in range(0, len(images), chunk):
+        block = images[start : start + chunk]
+        padded = np.zeros((len(block),) + padded_shape, dtype=x.dtype)
+        padded[:, half : half + h, half : half + w] = block
+        # In the padded buffer's flat memory the window of padded position
+        # (i, j) starts at (i, j) itself: the row pass sums taps 1 apart,
+        # the column pass taps one padded row apart.  Windows that wrap into
+        # the next row or image belong to positions outside [:h, :w], which
+        # are dropped, and the column pass reads only what the row pass wrote.
+        flat = padded.reshape(-1)
+        rows = _window_taps(flat, size, weights, 1, np.empty_like(flat))
+        means = np.empty_like(flat)
+        _window_taps(rows, size, weights, padded_shape[1], means)
+        targets[start : start + chunk] = means.reshape(padded.shape)[:, :h, :w]
+    return out
 
 
 # -- activations ----------------------------------------------------------

@@ -18,7 +18,8 @@ context manager) each call records:
   per-kernel timings in its tree without training-time span floods.
 
 FLOP estimates use the textbook multiply-add counts (2 FLOPs per MAC) for
-matmul-shaped kernels and one FLOP per output element for elementwise and
+matmul-shaped kernels, one FLOP per add or multiply of each window tap for
+SSIM's window mean, and one FLOP per output element for elementwise and
 pooling kernels; bytes are the ``nbytes`` of array arguments and results.
 Estimates, not measurements — good for attributing relative cost layer by
 layer, not for quoting absolute GFLOP/s.
@@ -222,6 +223,13 @@ def _flops_dense_backward(grad_output, x, weight, *a, **k) -> float:
     return 4.0 * x.shape[0] * weight.shape[0] * weight.shape[1]
 
 
+def _flops_window_mean(x, size, weights=None, *a, **k) -> float:
+    # Per axis: size-1 adds, plus the centre multiply and size-1 multiplies
+    # for a weighted window or one division for the uniform box.
+    per_axis = 2 * size - 1 if weights is not None else size
+    return 2.0 * per_axis * x.size
+
+
 def _flops_elementwise(x, *a, **k) -> float:
     return float(np.asarray(x).size)
 
@@ -233,6 +241,7 @@ _FLOPS: Dict[str, Callable[..., float]] = {
     "conv_transpose2d_backward": _flops_conv_transpose2d_backward,
     "dense_forward": _flops_dense_forward,
     "dense_backward": _flops_dense_backward,
+    "window_mean": _flops_window_mean,
 }
 
 

@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.metrics.msssim import ms_ssim_and_grad
-from repro.metrics.ssim import DEFAULT_WINDOW_SIZE, ssim_and_grad
+from repro.metrics.msssim import ms_ssim, ms_ssim_and_grad
+from repro.metrics.ssim import DEFAULT_WINDOW_SIZE, ssim, ssim_and_grad
 from repro.nn.backend.policy import as_tensor, result_dtype
 from repro.utils.validation import require_same_shape
 
@@ -148,7 +148,9 @@ class SSIMLoss(Loss):
     image_shape:
         ``(H, W)`` spatial shape each flattened sample encodes.
     window_size, data_range, k1, k2, window, sigma:
-        Forwarded to :func:`repro.metrics.ssim.ssim_and_grad`.
+        Forwarded to :func:`repro.metrics.ssim.ssim_and_grad` (training) and
+        :func:`repro.metrics.ssim.ssim` (:meth:`per_sample`, which scores
+        without a gradient).
     """
 
     def __init__(
@@ -219,7 +221,7 @@ class SSIMLoss(Loss):
         pred, target = _as_float_pair(pred, target)
         pred_img = self._to_images(pred, "pred")
         target_img = self._to_images(target, "target")
-        scores, _ = ssim_and_grad(
+        scores = ssim(
             target_img,
             pred_img,
             window_size=self.window_size,
@@ -302,7 +304,7 @@ class MSSSIMLoss(Loss):
         pred, target = _as_float_pair(pred, target)
         pred_img = self._to_images(pred, "pred")
         target_img = self._to_images(target, "target")
-        scores, _ = ms_ssim_and_grad(
+        scores = ms_ssim(
             target_img,
             pred_img,
             scales=self.scales,

@@ -27,7 +27,8 @@ expect.
 serving ``GET /metrics`` (the rendered registry) and ``GET /healthz`` (a
 JSON health document from a caller-supplied probe).  It runs on a daemon
 thread so attaching it to the serving service or the stream monitor costs
-nothing on the hot path — rendering happens only when a scrape arrives.
+nothing on the hot path — rendering happens only when a scrape arrives —
+and it imports :mod:`http.server` only when started.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Quantiles exposed for sliding-window summaries.
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
@@ -237,6 +240,10 @@ class MetricsServer:
         """Bind and serve on a daemon thread; returns self for chaining."""
         if self._server is not None:
             return self
+        # Imported here: http.server pulls in the email package, which a
+        # process without --metrics-port should not pay for.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):

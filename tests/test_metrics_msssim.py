@@ -118,8 +118,14 @@ class TestMsSsimLoss:
 
     def test_per_sample(self, rng):
         loss = MSSSIMLoss((16, 16), scales=2, window_size=5)
-        per = loss.per_sample(rng.random((3, 256)), rng.random((3, 256)))
+        pred, target = rng.random((3, 256)), rng.random((3, 256))
+        per = loss.per_sample(pred, target)
         assert per.shape == (3,)
+        # Scored without a gradient, yet exactly the scores training sees.
+        scores, _ = ms_ssim_and_grad(
+            target.reshape(3, 16, 16), pred.reshape(3, 16, 16), scales=2, window_size=5
+        )
+        assert np.array_equal(per, 1.0 - scores)
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigurationError):

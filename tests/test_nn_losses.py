@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.metrics.ssim import ssim
+from repro.metrics.ssim import ssim, ssim_and_grad
 from repro.nn import HuberLoss, MAELoss, MSELoss, SSIMLoss, check_loss_gradients
+from repro.nn.backend import kernel_profile
 
 
 class TestMSELoss:
@@ -125,6 +126,32 @@ class TestSSIMLoss:
         severe = target + rng.normal(0, 0.5, target.shape)
         loss = self._loss()
         assert loss.per_sample(severe, target)[0] > loss.per_sample(mild, target)[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("window", ["uniform", "gaussian"])
+    def test_per_sample_matches_training_scores_exactly(self, rng, window, dtype):
+        """per_sample (the served novelty score) runs the forward-only SSIM;
+        its scores are bit-identical to those training differentiates."""
+        h, w = self.IMAGE
+        pred = rng.random((3, h * w)).astype(dtype)
+        target = rng.random((3, h * w)).astype(dtype)
+        scores, _ = ssim_and_grad(
+            target.reshape(3, h, w), pred.reshape(3, h, w), window_size=5, window=window
+        )
+        loss = SSIMLoss(self.IMAGE, window_size=5, window=window)
+        assert np.array_equal(loss.per_sample(pred, target), 1.0 - scores)
+
+    def test_per_sample_computes_no_gradient(self, rng):
+        """One stacked window pass for the five statistics; only training
+        pays a second one to back-project the gradient."""
+        h, w = self.IMAGE
+        pred, target = rng.random((2, h * w)), rng.random((2, h * w))
+        loss = self._loss()
+        for run, passes in ((loss.per_sample, 1), (loss.forward, 2)):
+            with kernel_profile() as profiler:
+                run(pred, target)
+            (row,) = profiler.snapshot()
+            assert (row["name"], row["calls"]) == ("window_mean", passes)
 
     def test_rejects_bad_shapes(self):
         loss = self._loss()
