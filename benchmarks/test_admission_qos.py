@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult
 from repro.serving import (
+    REJECTION_REASONS,
     AimdConfig,
     BatchVerdicts,
     ClassPolicy,
@@ -41,8 +42,9 @@ from repro.serving import (
     QosPolicy,
     RateLimit,
     ServingEngine,
-    run_mixed_load,
+    run_load,
 )
+from repro.serving.admission import REJECT_QUEUE_FULL
 
 FRAME_SHAPE = (8, 8)
 #: Constant service time per micro-batch, regardless of batch size.
@@ -106,12 +108,10 @@ def _policy() -> QosPolicy:
 
 def _critical_load(engine, frames, requests_per_client=REQUESTS_PER_CLIENT):
     """The critical closed loop, identical in both phases."""
-    return run_mixed_load(
-        lambda frame, qos_class, client_id: engine.infer(
-            frame, qos_class=qos_class, client_id=client_id
-        ),
+    return run_load(
+        engine.infer,
         frames,
-        {"critical": 1},
+        mix={"critical": 1},
         clients=CRITICAL_CLIENTS,
         requests_per_client=requests_per_client,
     )
@@ -136,8 +136,13 @@ def _saturate_batch(engine, frames, stop, counts, lock):
                 frames[k % len(frames)], qos_class="batch", client_id=client_id
             )
             k += 1
+            # Refusals are tallied by reason, so admission-policy ones
+            # stay separable from queue-full ones.
+            key = outcome.status
+            if key == "rejected":
+                key = f"rejected.{outcome.reason}"
             with lock:
-                counts[outcome.status] = counts.get(outcome.status, 0) + 1
+                counts[key] = counts.get(key, 0) + 1
             remaining = period - (time.perf_counter() - started)
             if remaining > 0:
                 stop.wait(remaining)
@@ -195,11 +200,15 @@ def test_admission_protects_critical_at_2x_saturation(benchmark, report):
     )
     u = unloaded.per_class["critical"]
     l = loaded.per_class["critical"]
-    goodput_ratio = l["goodput_fps"] / u["goodput_fps"]
-    p99_ratio = l["latency_ms_p99"] / u["latency_ms_p99"]
+    goodput_ratio = l.goodput_fps / u.goodput_fps
+    p99_ratio = l.latency_ms_p99 / u.latency_ms_p99
     batch_total = sum(batch_counts.values())
     batch_ok = batch_counts.get("ok", 0)
-    batch_rejected = batch_counts.get("rejected", 0)
+    batch_rejected = sum(
+        batch_counts.get(f"rejected.{reason}", 0)
+        for reason in REJECTION_REASONS
+        if reason != REJECT_QUEUE_FULL
+    )
 
     result = ExperimentResult(
         exp_id="admission_qos",
@@ -207,20 +216,20 @@ def test_admission_protects_critical_at_2x_saturation(benchmark, report):
         rows=[
             f"backend capacity       {CAPACITY_RPS:8.0f} req/s unbatched "
             f"(offered {SATURATION_MULTIPLE:.0f}x by {BATCH_CLIENTS} batch clients)",
-            f"critical goodput       {u['goodput_fps']:8.1f} -> {l['goodput_fps']:8.1f} /s "
+            f"critical goodput       {u.goodput_fps:8.1f} -> {l.goodput_fps:8.1f} /s "
             f"({goodput_ratio * 100:5.1f}%,  gate: >= {GOODPUT_GATE * 100:.0f}%)",
-            f"critical p99           {u['latency_ms_p99']:8.2f} -> "
-            f"{l['latency_ms_p99']:8.2f} ms ({p99_ratio:4.2f}x,  gate: <= {P99_GATE:.1f}x)",
+            f"critical p99           {u.latency_ms_p99:8.2f} -> "
+            f"{l.latency_ms_p99:8.2f} ms ({p99_ratio:4.2f}x,  gate: <= {P99_GATE:.1f}x)",
             f"batch outcomes         ok={batch_ok}  rejected={batch_rejected}  "
             f"other={batch_total - batch_ok - batch_rejected}",
             f"admission rejections   {stats['admission']['rejected']}",
         ],
         metrics={
-            "critical_goodput_unloaded_fps": u["goodput_fps"],
-            "critical_goodput_loaded_fps": l["goodput_fps"],
+            "critical_goodput_unloaded_fps": u.goodput_fps,
+            "critical_goodput_loaded_fps": l.goodput_fps,
             "critical_goodput_ratio": goodput_ratio,
-            "critical_p99_unloaded_ms": u["latency_ms_p99"],
-            "critical_p99_loaded_ms": l["latency_ms_p99"],
+            "critical_p99_unloaded_ms": u.latency_ms_p99,
+            "critical_p99_loaded_ms": l.latency_ms_p99,
             "critical_p99_ratio": p99_ratio,
             "batch_rejected": float(batch_rejected),
         },
@@ -242,14 +251,16 @@ def test_admission_protects_critical_at_2x_saturation(benchmark, report):
         f"critical p99 grew {p99_ratio:.2f}x under 2x saturation"
     )
     # Gate 3: typed-outcome accounting balances — zero silent drops.
-    assert u["ok"] == u["requests"]  # unloaded critical never refused
-    assert l["ok"] == l["requests"]  # loaded critical never refused either
-    known = {"ok", "rejected", "overloaded", "deadline_exceeded", "degraded", "failed"}
+    assert u.ok == u.requests  # unloaded critical never refused
+    assert l.ok == l.requests  # loaded critical never refused either
+    known = {"ok", "deadline_exceeded", "degraded", "failed"} | {
+        f"rejected.{reason}" for reason in REJECTION_REASONS
+    }
     assert set(batch_counts) <= known, f"untyped outcome in {batch_counts}"
     expected_submitted = warm.requests + unloaded.requests + loaded.requests + batch_total
     assert stats["submitted"] == expected_submitted
     resolved = (
-        stats["scored"] + stats["rejected"] + stats["rejected_admission"]
+        stats["scored"] + stats["rejected"]
         + stats["deadline_exceeded"] + stats["failed"] + stats["degraded"]
     )
     assert resolved == stats["submitted"], (

@@ -90,7 +90,7 @@ def test_hot_swap_latency(benchmark, bench_workbench, report):
             f"swaps during load      {swaps:8d}",
             (
                 f"swapping outcomes      ok={swapping.ok}  "
-                f"dropped={swapping.overloaded}  failed={swapping.failed}"
+                f"dropped={swapping.rejected}  failed={swapping.failed}"
             ),
         ],
         metrics={

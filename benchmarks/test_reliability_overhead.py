@@ -5,9 +5,8 @@ configured (``EngineConfig.retry`` / ``EngineConfig.breaker``).  Their
 whole value is paid on the *failure* path; on the healthy path — a backend
 that never raises — the guard must cost almost nothing, or nobody enables
 it in production.  This compares ``ServingEngine._score_guarded`` with
-breaker + retry configured against the bare ``scorer.score_batch`` call
-(the exact code path an unconfigured engine runs) and gates the overhead
-at 5%, same as the telemetry null-backend gate.
+breaker + retry configured against the bare ``scorer.score_batch`` call and gates the
+overhead at 5%, same as the telemetry null-backend gate.
 """
 
 import numpy as np

@@ -617,25 +617,9 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_profiler_scope(args: argparse.Namespace):
-    """Enable the kernel profiler for the serving phase (not training)."""
-    if not getattr(args, "profile_kernels", False):
-        return contextlib.nullcontext()
-    from repro.nn.backend import kernel_profile
-
-    return kernel_profile()
-
-
-def _print_trace_hint(engine, telemetry: Optional[Path]) -> None:
-    """Point at one captured request tree, if tracing recorded any."""
-    if telemetry is None:
-        return
-    trace_id = engine.stats().get("last_trace_id")
-    if trace_id:
-        print(f"inspect one request: repro trace {trace_id} --file {telemetry}")
-
-
-def _print_engine_latency(engine) -> None:
+def _print_engine_report(engine, telemetry: Optional[Path]) -> None:
+    """Engine latency and batching, and one captured request tree to
+    inspect if tracing recorded any."""
     stats = engine.stats()
     latency = stats["latency_ms"]
     print(
@@ -646,6 +630,9 @@ def _print_engine_latency(engine) -> None:
         f"batches={stats['batches']}  mean_batch_size="
         f"{stats.get('mean_batch_size', 0):.2f}  rejected={stats['rejected']}"
     )
+    trace_id = stats.get("last_trace_id")
+    if telemetry is not None and trace_id:
+        print(f"inspect one request: repro trace {trace_id} --file {telemetry}")
 
 
 def _recover_journal(journal_dir: Optional[Path]):
@@ -749,27 +736,49 @@ def _close_journal(state_journal, journal) -> None:
         journal.close()
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
+def _serving_session(args: argparse.Namespace, default_capacity: int, run) -> int:
+    """The setup and teardown ``serve`` and ``bench-serve`` share.
 
+    Inside the ``--telemetry`` scope: recover and reopen the journal,
+    build the engine (exit 2 with a one-line message on an unusable
+    bundle, config or journal), attach the journal to it, then call
+    ``run(engine, image_shape, recovery)`` under the kernel profiler —
+    which starts after the engine is built, so a freshly trained
+    pipeline's training kernels stay out of the serving profile.  The
+    engine is closed and the journal snapshotted and sealed however
+    ``run`` ends.
+    """
     from repro.exceptions import ArtifactError, ConfigurationError, JournalError
 
     with _telemetry_scope(args.telemetry):
+        journal = None
         try:
-            report, journal = _recover_journal(args.journal_dir)
-        except JournalError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
-            engine, image_shape = _build_engine(
-                args, default_capacity=max(64, args.frames if args.once else 64)
-            )
-        except (ArtifactError, ConfigurationError) as exc:
+            recovery, journal = _recover_journal(args.journal_dir)
+            engine, image_shape = _build_engine(args, default_capacity)
+        except (ArtifactError, ConfigurationError, JournalError) as exc:
             if journal is not None:
                 journal.close()
             print(str(exc), file=sys.stderr)
             return 2
-        state_journal = _wire_journal(engine, report, journal)
+        state_journal = _wire_journal(engine, recovery, journal)
+        profiler = contextlib.nullcontext()
+        if args.profile_kernels:
+            from repro.nn.backend import kernel_profile
+
+            profiler = kernel_profile()
+        try:
+            with profiler:
+                run(engine, image_shape, recovery)
+        finally:
+            engine.close()
+            _close_journal(state_journal, journal)
+    if args.telemetry is not None:
+        print(f"telemetry trace written to {args.telemetry}")
+    return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    def run(engine, image_shape, recovery) -> None:
         metrics_server = contextlib.nullcontext()
         if args.metrics_port is not None:
             from repro.telemetry import MetricsRegistry, MetricsServer, get_telemetry
@@ -788,47 +797,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics_server = MetricsServer(
                 registry, health=_health, host=args.host, port=args.metrics_port
             )
-        try:
-            # The profiler scope starts here so training kernels (when no
-            # --bundle was given) stay out of the serving profile.
-            with metrics_server, _kernel_profiler_scope(args):
-                url = getattr(metrics_server, "url", None)
-                if url:
-                    print(f"metrics at {url}/metrics (health at {url}/healthz)")
-                if args.once:
-                    frames = _render_stream(image_shape, args.frames, args.seed)
-                    outcomes = engine.infer_many(frames)
-                    novel = sum(o.status == "ok" and o.is_novel for o in outcomes)
-                    ok = sum(o.status == "ok" for o in outcomes)
-                    print(f"scored {ok}/{len(outcomes)} frames ({novel} flagged novel)")
-                    _print_engine_latency(engine)
-                    _print_trace_hint(engine, args.telemetry)
-                else:
-                    from repro.serving import ServingServer
+        with metrics_server:
+            url = getattr(metrics_server, "url", None)
+            if url:
+                print(f"metrics at {url}/metrics (health at {url}/healthz)")
+            if args.once:
+                frames = _render_stream(image_shape, args.frames, args.seed)
+                outcomes = engine.infer_many(frames)
+                novel = sum(o.status == "ok" and o.is_novel for o in outcomes)
+                ok = sum(o.status == "ok" for o in outcomes)
+                print(f"scored {ok}/{len(outcomes)} frames ({novel} flagged novel)")
+                _print_engine_report(engine, args.telemetry)
+                return
+            import time
 
-                    recovery_info = None if report is None else report.summary()
-                    with ServingServer(
-                        engine, host=args.host, port=args.port,
-                        recovery_info=recovery_info,
-                    ) as server:
-                        host, port = server.address
-                        print(f"serving on {host}:{port} (ctrl-c to stop)")
-                        try:
-                            while True:
-                                time.sleep(1.0)
-                        except KeyboardInterrupt:
-                            print("\nshutting down")
-        finally:
-            engine.close()
-            _close_journal(state_journal, journal)
-    if args.telemetry is not None:
-        print(f"telemetry trace written to {args.telemetry}")
-    return 0
+            from repro.serving import ServingServer
+
+            recovery_info = None if recovery is None else recovery.summary()
+            with ServingServer(
+                engine, host=args.host, port=args.port, recovery_info=recovery_info
+            ) as server:
+                host, port = server.address
+                print(f"serving on {host}:{port} (ctrl-c to stop)")
+                try:
+                    while True:
+                        time.sleep(1.0)
+                except KeyboardInterrupt:
+                    print("\nshutting down")
+
+    capacity = max(64, args.frames if args.once else 64)
+    return _serving_session(args, capacity, run)
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.exceptions import ArtifactError, ConfigurationError, JournalError
-    from repro.serving import parse_priority_mix, run_load, run_mixed_load
+    from repro.exceptions import ConfigurationError
+    from repro.serving import parse_priority_mix, run_load
 
     mix = None
     if args.priority_mix is not None:
@@ -837,123 +840,72 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         except ConfigurationError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    with _telemetry_scope(args.telemetry):
-        try:
-            report, journal = _recover_journal(args.journal_dir)
-        except JournalError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
-            engine, image_shape = _build_engine(
-                args, default_capacity=max(64, args.frames)
+
+    def run(engine, image_shape, recovery) -> None:
+        frames = _render_stream(image_shape, min(args.frames, 512), args.seed)
+        workload = [frames[i % len(frames)] for i in range(args.frames)]
+        # Warm caches so the report measures steady state, not
+        # first-call allocation.
+        engine.infer(workload[0])
+        if args.socket:
+            import threading
+
+            from repro.serving import ServingClient, ServingServer
+
+            local = threading.local()
+            connections: List[ServingClient] = []
+
+            def score(frame, qos_class=None, client_id=None):
+                # One connection per load thread: a shared client would
+                # serialize two threads on its lock.
+                client = getattr(local, "client", None)
+                if client is None:
+                    client = local.client = ServingClient(*server.address)
+                    connections.append(client)
+                return client.score(frame, client_id=client_id, priority=qos_class)
+
+            with ServingServer(engine) as server:
+                host, port = server.address
+                print(f"load-testing over the socket frontend at {host}:{port}")
+                try:
+                    report = run_load(score, workload, clients=args.clients, mix=mix)
+                finally:
+                    for client in connections:
+                        client.close()
+        else:
+            report = run_load(engine.infer, workload, clients=args.clients, mix=mix)
+        print(report.render())
+        stats = engine.stats()
+        admission_stats = stats.get("admission")
+        if admission_stats is not None:
+            rejected = ", ".join(
+                f"{k}={v}" for k, v in sorted(admission_stats["rejected"].items())
             )
-        except (ArtifactError, ConfigurationError) as exc:
-            if journal is not None:
-                journal.close()
-            print(str(exc), file=sys.stderr)
-            return 2
-        state_journal = _wire_journal(engine, report, journal)
-        try:
-            # Profiling starts after the engine is built so a freshly
-            # trained pipeline's training kernels stay out of the profile.
-            with _kernel_profiler_scope(args):
-                frames = _render_stream(image_shape, min(args.frames, 512), args.seed)
-                workload = [frames[i % len(frames)] for i in range(args.frames)]
-                # Warm caches so the report measures steady state, not
-                # first-call allocation.
-                engine.infer(workload[0])
-                if args.socket:
-                    from repro.serving import ServingClient, ServingServer
+            print(
+                f"admission: {admission_stats['admitted']} admitted, "
+                f"rejected: {rejected}, concurrency limit "
+                f"{admission_stats.get('concurrency_limit', 'off')}, "
+                f"service time {admission_stats['service_time_ms_per_frame']:.3f} "
+                f"ms/frame"
+            )
+        _print_engine_report(engine, args.telemetry)
+        if args.chaos:
+            print(
+                f"chaos: injected faults {engine.scorer.injected()} over "
+                f"{engine.scorer.calls} scorer calls"
+            )
+            print(
+                f"chaos: degraded={stats['degraded']} retries={stats['retries']} "
+                f"breaker={stats.get('breaker', {}).get('state', 'off')}"
+            )
+        if recovery is not None:
+            ledger_stats = stats.get("ledger", {})
+            print(
+                f"journal: {ledger_stats.get('admitted', '?')} admitted, "
+                f"{ledger_stats.get('outstanding', '?')} outstanding at exit"
+            )
 
-                    with ServingServer(engine) as server:
-                        host, port = server.address
-                        print(f"load-testing over the socket frontend at {host}:{port}")
-                        clients = [
-                            ServingClient(host, port) for _ in range(max(1, args.clients))
-                        ]
-                        try:
-                            cursor = {"next": 0}
-                            import threading as _threading
-
-                            lock = _threading.Lock()
-
-                            def _next_client(_clients=clients, _lock=lock, _cursor=cursor):
-                                with _lock:
-                                    client = _clients[_cursor["next"] % len(_clients)]
-                                    _cursor["next"] += 1
-                                return client
-
-                            if mix is not None:
-                                report = run_mixed_load(
-                                    lambda frame, qos_class, client_id: _next_client().score(
-                                        frame, client_id=client_id, priority=qos_class
-                                    ),
-                                    workload,
-                                    mix,
-                                    clients=args.clients,
-                                )
-                            else:
-                                report = run_load(
-                                    lambda frame: _next_client().score(frame),
-                                    workload,
-                                    clients=args.clients,
-                                )
-                        finally:
-                            for client in clients:
-                                client.close()
-                elif mix is not None:
-                    report = run_mixed_load(
-                        lambda frame, qos_class, client_id: engine.infer(
-                            frame, qos_class=qos_class, client_id=client_id
-                        ),
-                        workload,
-                        mix,
-                        clients=args.clients,
-                    )
-                else:
-                    report = run_load(
-                        lambda frame: engine.infer(frame), workload, clients=args.clients
-                    )
-                print(report.render())
-                admission_stats = engine.stats().get("admission")
-                if admission_stats is not None:
-                    rejected = admission_stats.get("rejected", {})
-                    rejected_line = (
-                        ", ".join(f"{k}={v}" for k, v in sorted(rejected.items()))
-                        if rejected
-                        else "none"
-                    )
-                    print(
-                        f"admission: {admission_stats['admitted']} admitted, "
-                        f"rejected: {rejected_line}, concurrency limit "
-                        f"{admission_stats['concurrency_limit']}, "
-                        f"service time {admission_stats['service_time_ms_per_frame']:.3f} "
-                        f"ms/frame"
-                    )
-                _print_engine_latency(engine)
-                _print_trace_hint(engine, args.telemetry)
-                if getattr(args, "chaos", False):
-                    stats = engine.stats()
-                    print(
-                        f"chaos: injected faults {engine.scorer.injected()} over "
-                        f"{engine.scorer.calls} scorer calls"
-                    )
-                    print(
-                        f"chaos: degraded={stats['degraded']} retries={stats['retries']} "
-                        f"breaker={stats.get('breaker', {}).get('state', 'off')}"
-                    )
-                if journal is not None:
-                    ledger_stats = engine.stats().get("ledger", {})
-                    print(
-                        f"journal: {ledger_stats.get('admitted', '?')} admitted, "
-                        f"{ledger_stats.get('outstanding', '?')} outstanding at exit"
-                    )
-        finally:
-            engine.close()
-            _close_journal(state_journal, journal)
-    if args.telemetry is not None:
-        print(f"telemetry trace written to {args.telemetry}")
-    return 0
+    return _serving_session(args, max(64, args.frames), run)
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:

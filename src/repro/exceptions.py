@@ -56,7 +56,8 @@ class RequestRejectedError(ServingError):
     Raised by :meth:`~repro.serving.ServingClient.score_strict` when the
     wire response carries ``status: "rejected"`` — the server's admission
     policy (quota, concurrency limit, or deadline shedding) refused the
-    request before queueing it.  Do not blindly retry: honor
+    request before queueing it (a full queue raises the subclass
+    :class:`ServerOverloadedError`).  Do not blindly retry: honor
     :attr:`retry_after_ms` when present.
     """
 
@@ -78,7 +79,8 @@ class RequestRejectedError(ServingError):
 
 
 class ServerOverloadedError(RequestRejectedError):
-    """The server's bounded request queue was full (``status: "overloaded"``).
+    """The server's bounded request queue was full (``status: "rejected"``,
+    ``reason: "queue_full"``).
 
     A transient backpressure signal rather than a policy decision —
     retrying after a short backoff is reasonable, unlike for its parent

@@ -17,9 +17,9 @@ driving systems; this subsystem is the deployment story.  Four pieces:
   set of priority classes drained by a weighted multi-queue, deadline-
   aware shedding, and an AIMD adaptive concurrency limit, all behind a
   JSON-configurable :class:`QosPolicy`; refusals are typed
-  :class:`Rejected` outcomes.  The engine keeps its historical bounded-
-  FIFO behavior (typed :class:`Overloaded` backpressure, per-request
-  deadlines) when no policy is configured.
+  :class:`Rejected` outcomes.  Without a policy the engine is one bounded
+  FIFO with per-request deadlines, and a full queue is the one refusal
+  (``Rejected(reason="queue_full")``).
 
 :mod:`repro.serving.service` adds a localhost socket frontend (length-
 prefixed JSON), :mod:`repro.serving.loadgen` a load generator; the CLI
@@ -44,12 +44,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.batcher import MicroBatcher, QueuedRequest, WeightedClassBatcher
 from repro.serving.engine import EngineConfig, PipelineScorer, ServingEngine
-from repro.serving.loadgen import (
-    LoadReport,
-    parse_priority_mix,
-    run_load,
-    run_mixed_load,
-)
+from repro.serving.loadgen import LoadReport, parse_priority_mix, run_load
 from repro.serving.pool import WorkerPool
 from repro.serving.qos import (
     DEFAULT_CLASS,
@@ -68,7 +63,6 @@ from repro.serving.results import (
     DeadlineExceeded,
     Degraded,
     Failed,
-    Overloaded,
     PendingResult,
     Rejected,
     RequestOutcome,
@@ -93,7 +87,6 @@ __all__ = [
     "LoadReport",
     "parse_priority_mix",
     "run_load",
-    "run_mixed_load",
     "WorkerPool",
     "AdmissionController",
     "AdmissionDecision",
@@ -113,7 +106,6 @@ __all__ = [
     "DeadlineExceeded",
     "Degraded",
     "Failed",
-    "Overloaded",
     "PendingResult",
     "Rejected",
     "RequestOutcome",

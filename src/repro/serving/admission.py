@@ -35,10 +35,15 @@ from repro.serving.qos import (
 )
 
 #: Machine-readable rejection reasons carried on ``Rejected`` outcomes.
+#: The first three are policy refusals decided here; ``queue_full`` is the
+#: engine's bounded queue refusing an admitted request.
 REJECT_RATE_LIMITED = "rate_limited"
 REJECT_CONCURRENCY = "concurrency_limit"
 REJECT_DEADLINE = "deadline_unmeetable"
-REJECTION_REASONS = (REJECT_RATE_LIMITED, REJECT_CONCURRENCY, REJECT_DEADLINE)
+REJECT_QUEUE_FULL = "queue_full"
+REJECTION_REASONS = (
+    REJECT_RATE_LIMITED, REJECT_CONCURRENCY, REJECT_DEADLINE, REJECT_QUEUE_FULL
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class AdmissionController:
         self.policy = policy
         self.replicas = max(1, int(replicas))
         self._clock = clock
-        self._lock = threading.Lock()
+        # Reentrant: admit() refuses through refuse(), which locks too.
+        self._lock = threading.RLock()
         self._buckets: Dict[str, TokenBucket] = {}
         self.aimd: Optional[AimdLimiter] = (
             AimdLimiter(policy.aimd, clock=clock) if policy.aimd is not None else None
@@ -158,26 +164,35 @@ class AdmissionController:
         with self._lock:
             bucket = self._bucket_for(client_id)
             if bucket is not None and not bucket.try_take():
-                return self._refuse(
+                return self.refuse(
                     REJECT_RATE_LIMITED,
                     retry_after_ms=bucket.retry_after_s() * 1e3,
                 )
             if spec.sheddable:
                 if self.aimd is not None and in_flight >= self.aimd.limit:
-                    return self._refuse(REJECT_CONCURRENCY)
+                    return self.refuse(REJECT_CONCURRENCY)
                 if self.policy.shed_deadlines and deadline_s is not None:
                     predicted = self.estimator.estimated_delay_s(
                         queue_depth, self.replicas
                     )
                     if predicted * self.policy.shed_safety_factor > deadline_s:
-                        return self._refuse(REJECT_DEADLINE)
+                        return self.refuse(REJECT_DEADLINE)
             self._admitted += 1
             return AdmissionDecision.admit()
 
-    def _refuse(
+    def refuse(
         self, reason: str, retry_after_ms: Optional[float] = None
     ) -> AdmissionDecision:
-        self._rejected[reason] = self._rejected.get(reason, 0) + 1
+        """Count a refusal by ``reason`` and return the refusing decision.
+
+        The engine calls this for ``queue_full`` after :meth:`admit`
+        passed the request, so that admission is taken back: ``admitted``
+        counts requests that entered the queue.
+        """
+        with self._lock:
+            if reason == REJECT_QUEUE_FULL:
+                self._admitted -= 1
+            self._rejected[reason] = self._rejected.get(reason, 0) + 1
         return AdmissionDecision.reject(reason, retry_after_ms=retry_after_ms)
 
     # -- feedback from the dispatch path ---------------------------------

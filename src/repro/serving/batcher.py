@@ -6,8 +6,8 @@ clients); batched numpy matmuls are where the throughput is.  Producers
 FIFOs; consumers (the engine's dispatch threads) pull *micro-batches*
 that close when full or ``max_wait_ms`` after their first frame,
 whichever comes first.  A full queue rejects at admission (the engine
-turns that into a typed :class:`~repro.serving.results.Overloaded`
-outcome) instead of queueing unboundedly.
+turns that into a typed :class:`~repro.serving.results.Rejected`
+outcome with reason ``"queue_full"``) instead of queueing unboundedly.
 
 There is one batching loop, :meth:`WeightedClassBatcher.next_batch`:
 each slot goes to the smooth weighted round-robin winner among the

@@ -11,9 +11,10 @@ with ``score_batch(frames) -> BatchVerdicts``.  Two scorers exist:
   dispatch thread per worker so replicas score concurrently.
 
 Backpressure is explicit: a full queue resolves the request to a typed
-:class:`~repro.serving.results.Overloaded` outcome at submit time; an
-admitted request whose deadline lapses while queued resolves to
-:class:`~repro.serving.results.DeadlineExceeded` without being scored.
+:class:`~repro.serving.results.Rejected` outcome (reason ``"queue_full"``)
+at submit time; an admitted request whose deadline lapses while queued
+resolves to :class:`~repro.serving.results.DeadlineExceeded` without
+being scored.
 The engine never queues unboundedly and never blocks a producer.  Every
 request leaves through ``ServingEngine._finish``, so each one gets
 exactly one typed outcome, counted once.
@@ -28,18 +29,19 @@ circuit breaker in front of it (an open breaker resolves batches
 immediately instead of hammering a dead backend), and ``fail_safe``
 decides whether unscorable requests resolve to
 :class:`~repro.serving.results.Failed` or to a conservative
-:class:`~repro.serving.results.Degraded` verdict.  With reliability
-configured the engine also refuses to deliver non-finite scores as
+:class:`~repro.serving.results.Degraded` verdict.  Under every
+configuration the engine refuses to deliver non-finite scores as
 ``Scored`` — NaN verdicts are a backend failure, not an answer.
 
 Telemetry (when a session is active): ``serving.queue_depth``,
 ``serving.breaker_state`` and ``serving.admission.concurrency_limit``
 gauges, ``serving.batch_size`` and ``serving.request_latency`` histograms,
 ``serving.queue_delay.<class>`` per-priority-class window histograms,
-``serving.batch`` spans, and ``serving.requests`` / ``serving.rejected``
-/ ``serving.deadline_exceeded`` / ``serving.errors`` / ``serving.retries``
+``serving.batch`` spans, and ``serving.requests`` /
+``serving.deadline_exceeded`` / ``serving.errors`` / ``serving.retries``
 / ``serving.degraded`` / ``serving.admission.admitted.<class>`` /
-``serving.admission.rejected.<reason>`` counters.
+``serving.admission.rejected.<reason>`` counters (``<reason>`` includes
+``queue_full``).
 
 Tracing: :meth:`ServingEngine.submit` roots a
 :class:`~repro.telemetry.TraceContext` per admitted request (or adopts one
@@ -77,7 +79,7 @@ from repro.nn.backend.policy import as_tensor
 from repro.novelty.framework import SaliencyNoveltyPipeline
 from repro.reliability.breaker import BreakerConfig, CircuitBreaker
 from repro.reliability.retry import RetryPolicy, call_with_retry
-from repro.serving.admission import AdmissionController
+from repro.serving.admission import REJECT_QUEUE_FULL, AdmissionController
 from repro.serving.batcher import MicroBatcher, QueuedRequest, WeightedClassBatcher
 from repro.serving.qos import DEFAULT_CLASS, QosPolicy
 from repro.serving.results import (
@@ -85,7 +87,6 @@ from repro.serving.results import (
     DeadlineExceeded,
     Degraded,
     Failed,
-    Overloaded,
     PendingResult,
     Rejected,
     RequestOutcome,
@@ -107,8 +108,7 @@ _CRASH_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
 #: (``Rejected`` counts under ``serving.admission.rejected.<reason>``).
 _TALLIES = {
     "ok": ("scored", None),
-    "rejected": ("rejected_admission", None),
-    "overloaded": ("rejected", "serving.rejected"),
+    "rejected": ("rejected", None),
     "deadline_exceeded": ("deadline_exceeded", "serving.deadline_exceeded"),
     "failed": ("failed", None),
     "degraded": ("degraded", "serving.degraded"),
@@ -128,7 +128,7 @@ class EngineConfig:
         latency/throughput trade: 0 favors latency, larger favors batches).
     queue_capacity:
         Bounded request queue; submissions beyond it are rejected with a
-        typed ``Overloaded`` outcome rather than queued.
+        typed ``Rejected(reason="queue_full")`` outcome rather than queued.
     default_deadline_ms:
         Per-request deadline applied when ``submit`` does not pass one;
         ``None`` disables deadlines by default.
@@ -184,6 +184,33 @@ class EngineConfig:
             )
 
 
+def check_swap_shape(serving: Any, candidate: Any) -> None:
+    """Refuse a hot-swap whose candidate scores a different ``(H, W)``.
+
+    The one shape check behind :meth:`PipelineScorer.reload`,
+    :meth:`WorkerPool.reload <repro.serving.pool.WorkerPool.reload>` and
+    :meth:`ServingEngine.set_scorer`.  A side that advertises no shape
+    (``None``) is not checked.
+    """
+    if serving is None or candidate is None:
+        return
+    if tuple(serving) != tuple(candidate):
+        raise DeploymentError(
+            f"hot-swap shape mismatch: serving {tuple(serving)}, "
+            f"candidate scores {tuple(candidate)}"
+        )
+
+
+def swap_model_version(target: Any, model_version: Optional[str]) -> Optional[str]:
+    """The version a reload stamps: ``model_version`` when given, else the
+    config hash in ``target``'s manifest (a
+    :class:`~repro.serving.artifacts.LoadedBundle`), else ``None``."""
+    manifest = getattr(target, "manifest", None)
+    if model_version is None and manifest is not None:
+        return manifest.get("config_hash")
+    return model_version
+
+
 class PipelineScorer:
     """In-process scorer: one fitted pipeline, scored on the caller thread.
 
@@ -206,9 +233,8 @@ class PipelineScorer:
         self.image_shape = pipeline.image_shape
         self.model_version = model_version
         # Compile the scoring plan eagerly so the first request doesn't pay
-        # stage-graph construction; plan-less (duck-typed) pipelines serve
-        # through their plain score_batch path.
-        self.plan = getattr(pipeline, "plan", None)
+        # stage-graph construction.
+        self.plan = pipeline.plan
         # One batched pass at a time: the numpy substrate is single-threaded
         # anyway, and serializing keeps layer caches coherent.  reload()
         # takes the same lock, so a swap waits for the in-flight batch.
@@ -221,20 +247,15 @@ class PipelineScorer:
         return self.pipeline.dtype
 
     def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
-        """Vectorized verdicts for an ``(N, H, W)`` stack."""
+        """Vectorized verdicts for an ``(N, H, W)`` stack.
+
+        One compiled-plan invocation yields scores, decisions and margins
+        together — the ``verdict`` stage reads the cached scores — and
+        every stage emits its own telemetry span.
+        """
         with self._lock:
-            if self.plan is not None and hasattr(self.pipeline, "run_plan"):
-                # One compiled-plan invocation yields scores, decisions and
-                # margins together — the verdict stage reads the cached
-                # scores — and every stage emits its own telemetry span.
-                ctx = self.pipeline.run_plan(frames)
-                scores, is_novel, margins = ctx.scores, ctx.is_novel, ctx.margins
-            else:
-                scores = self.pipeline.score_batch(frames)
-                detector = self.pipeline.one_class.detector
-                is_novel = detector.predict(scores)
-                margins = detector.novelty_margin(scores)
-            return BatchVerdicts(scores, is_novel, margins, self.model_version)
+            ctx = self.pipeline.run_plan(frames)
+            return BatchVerdicts(ctx.scores, ctx.is_novel, ctx.margins, self.model_version)
 
     def reload(self, target: Any, model_version: Optional[str] = None) -> None:
         """Hot-swap the pipeline without dropping the in-flight batch.
@@ -247,21 +268,14 @@ class PipelineScorer:
         score the same ``(H, W)`` the engine validates submissions against.
         """
         pipeline = getattr(target, "pipeline", target)
-        if model_version is None:
-            manifest = getattr(target, "manifest", None)
-            if manifest is not None:
-                model_version = manifest.get("config_hash")
+        model_version = swap_model_version(target, model_version)
         if not getattr(pipeline, "is_fitted", False):
             raise NotFittedError("reload requires a fitted pipeline")
-        if tuple(pipeline.image_shape) != tuple(self.image_shape):
-            raise DeploymentError(
-                f"hot-swap shape mismatch: serving {tuple(self.image_shape)}, "
-                f"candidate scores {tuple(pipeline.image_shape)}"
-            )
+        check_swap_shape(self.image_shape, pipeline.image_shape)
         # Compile the candidate's plan BEFORE taking the lock: stage-graph
         # construction happens off the serving path, and the swap below is
         # an atomic pipeline+plan+version exchange under the drained lock.
-        plan = getattr(pipeline, "plan", None)
+        plan = pipeline.plan
         with self._lock:
             self.pipeline = pipeline
             self.plan = plan
@@ -323,7 +337,7 @@ class ServingEngine:
         self._stats_lock = threading.Lock()
         self._in_flight = 0
         self._counts = dict.fromkeys(
-            ("submitted", "scored", "rejected", "rejected_admission", "deadline_exceeded",
+            ("submitted", "scored", "rejected", "deadline_exceeded",
              "failed", "degraded", "retries", "batches", "reloads"),
             0,
         )
@@ -355,10 +369,10 @@ class ServingEngine:
         """Admit one frame; returns a future resolving to a typed outcome.
 
         Never blocks: when admission control refuses the request (rate
-        limit, concurrency limit, deadline shedding) the future is already
-        resolved to :class:`Rejected` on return; when the bounded queue is
-        full, to :class:`Overloaded`.  ``deadline_ms`` overrides the
-        class/config default (``None`` = no deadline).  ``client_id``
+        limit, concurrency limit, deadline shedding) or the bounded queue
+        is full, the future is already resolved to :class:`Rejected` on
+        return.  ``deadline_ms`` overrides the class/config default
+        (``None`` = no deadline).  ``client_id``
         names the caller for per-client quotas and ``qos_class`` picks a
         priority class (both ignored without a configured
         :attr:`EngineConfig.qos`; an unknown class raises
@@ -408,6 +422,8 @@ class ServingEngine:
             self._in_flight += 1  # until _finish
             if trace is not None:
                 self._last_trace_id = trace.trace_id
+        reason: Optional[str] = None
+        retry_after_ms: Optional[float] = None
         if admission is not None:
             decision = admission.admit(
                 client_id=client_id,
@@ -416,21 +432,21 @@ class ServingEngine:
                 queue_depth=len(self._batcher),
                 in_flight=in_flight,
             )
-            if not decision.admitted:
-                rejected = Rejected(
-                    reason=decision.reason or "rejected",
-                    qos_class=qos_class,
-                    client_id=client_id,
-                    retry_after_ms=decision.retry_after_ms,
-                )
-                self._finish([request], rejected, now)
-                return request.pending
-            telem.counter(f"serving.admission.admitted.{qos_class}").inc()
-        if not self._batcher.offer(request):
-            overloaded = Overloaded(
-                queue_depth=len(self._batcher), capacity=self._batcher.capacity
+            reason, retry_after_ms = decision.reason, decision.retry_after_ms
+            if decision.admitted:
+                telem.counter(f"serving.admission.admitted.{qos_class}").inc()
+        if reason is None and not self._batcher.offer(request):
+            reason = REJECT_QUEUE_FULL
+            if admission is not None:
+                admission.refuse(reason)
+        if reason is not None:
+            rejected = Rejected(
+                reason=reason,
+                qos_class=qos_class,
+                client_id=client_id,
+                retry_after_ms=retry_after_ms,
             )
-            self._finish([request], overloaded, now)
+            self._finish([request], rejected, now)
         telem.gauge("serving.queue_depth").set(len(self._batcher))
         return request.pending
 
@@ -450,7 +466,8 @@ class ServingEngine:
         """Submit a stack of frames and wait for every outcome.
 
         Frames beyond ``queue_capacity`` naturally resolve to
-        ``Overloaded`` — size the engine's queue for the burst you send.
+        ``Rejected(reason="queue_full")`` — size the engine's queue for
+        the burst you send.
         """
         pendings = [
             self.submit(frame)
@@ -462,21 +479,19 @@ class ServingEngine:
     def _score_guarded(self, stack: np.ndarray) -> Tuple[BatchVerdicts, int]:
         """One micro-batch through the engine's retry layer and breaker.
 
-        Returns ``(verdicts, retries_used)``.  With a retry policy or
-        breaker configured, every failed attempt feeds the breaker and
-        non-finite scores count as a backend failure.  The final failure
-        is re-raised for the dispatch loop to resolve.
+        Returns ``(verdicts, retries_used)``.  Non-finite scores count as a
+        backend failure, and every failed attempt feeds the breaker when
+        one is configured.  The final failure is re-raised for the
+        dispatch loop to resolve.
         """
-        checked = self._retry is not None or self.breaker is not None
 
         def attempt() -> BatchVerdicts:
             try:
                 verdicts = self.scorer.score_batch(stack)
-                if checked:
-                    scores = np.asarray(verdicts.scores, dtype=float)
-                    if not np.all(np.isfinite(scores)):
-                        bad = int(np.sum(~np.isfinite(scores)))
-                        raise ServingError(f"backend returned {bad} non-finite scores")
+                finite = np.isfinite(np.asarray(verdicts.scores, dtype=float))
+                if not finite.all():
+                    bad = int(finite.size - finite.sum())
+                    raise ServingError(f"backend returned {bad} non-finite scores")
             except Exception:
                 if self.breaker is not None:
                     self.breaker.record_failure()
@@ -716,13 +731,10 @@ class ServingEngine:
         :class:`~repro.deploy.CanarySplitScorer`; for a plain model
         upgrade prefer :meth:`reload`, which drains per replica.
         """
-        expected = getattr(self.scorer, "image_shape", None)
-        offered = getattr(scorer, "image_shape", None)
-        if expected is not None and offered is not None and tuple(expected) != tuple(offered):
-            raise DeploymentError(
-                f"scorer swap shape mismatch: serving {tuple(expected)}, "
-                f"candidate scores {tuple(offered)}"
-            )
+        check_swap_shape(
+            getattr(self.scorer, "image_shape", None),
+            getattr(scorer, "image_shape", None),
+        )
         self.scorer = scorer
 
     def attach_shadow(self, shadow: Optional[Any]) -> None:

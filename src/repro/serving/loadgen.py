@@ -7,23 +7,23 @@ the measured latency.  Works against anything that maps a frame to a
 response carrying a ``status`` (an in-process
 :meth:`ServingEngine.infer <repro.serving.engine.ServingEngine.infer>`,
 or a :meth:`ServingClient.score <repro.serving.service.ServingClient.score>`
-over the socket protocol); ``repro bench-serve`` and the throughput
-benchmark are both thin wrappers around :func:`run_load`.
+over the socket protocol); ``repro bench-serve`` and the serving
+benchmarks are thin wrappers around :func:`run_load`.
 
-:func:`run_mixed_load` extends the model to QoS testing: the client
-population is split across priority classes per a weight mix
-(``repro bench-serve --priority-mix critical=10,batch=90``), each class
-keeps its own closed loop, and the report carries per-class outcome
-counts, latency percentiles, and goodput — the numbers the admission
-benchmark gates on.
+With a priority ``mix`` (``repro bench-serve --priority-mix
+critical=10,batch=90``) the client population is split across priority
+classes, each class keeps its own closed loop, and the report carries one
+:class:`LoadReport` per class — outcome counts, latency percentiles and
+goodput, the numbers the admission benchmark gates on.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,35 +36,33 @@ from repro.utils.timer import percentile
 class LoadReport:
     """Outcome counts and client-observed latency of one load run.
 
-    ``rejected`` counts typed admission refusals (``status:
-    "rejected"``), distinct from ``overloaded`` (queue-full
-    backpressure).  ``per_class`` is filled by :func:`run_mixed_load`
-    with one stats dict per priority class (requests, outcome counts,
-    latency percentiles, elapsed, throughput and goodput).
+    ``rejected`` counts every refusal (``status: "rejected"``, whether by
+    admission policy or a full queue); ``goodput_fps`` is scored-ok
+    answers per second.  ``per_class`` holds one report per priority
+    class when the run had a mix.
     """
 
     requests: int
     ok: int
-    overloaded: int
+    rejected: int
     deadline_exceeded: int
-    failed: int
     degraded: int
+    failed: int
     elapsed_s: float
     throughput_fps: float
+    goodput_fps: float
     latency_ms_mean: float
     latency_ms_p50: float
     latency_ms_p95: float
     latency_ms_p99: float
-    rejected: int = 0
-    per_class: Optional[Dict[str, Dict[str, float]]] = field(default=None)
+    per_class: Optional[Dict[str, "LoadReport"]] = None
 
     def render(self) -> str:
         """Human-readable block printed by ``repro bench-serve``."""
         lines = [
             f"{'requests':<22} {self.requests:>10}",
             f"{'scored ok':<22} {self.ok:>10}",
-            f"{'rejected (admission)':<22} {self.rejected:>10}",
-            f"{'rejected (overloaded)':<22} {self.overloaded:>10}",
+            f"{'rejected':<22} {self.rejected:>10}",
             f"{'deadline exceeded':<22} {self.deadline_exceeded:>10}",
             f"{'degraded (fail-safe)':<22} {self.degraded:>10}",
             f"{'failed':<22} {self.failed:>10}",
@@ -76,17 +74,15 @@ class LoadReport:
                 f"p95={self.latency_ms_p95:.2f} p99={self.latency_ms_p99:.2f}"
             ),
         ]
-        if self.per_class:
-            for name in sorted(self.per_class):
-                stats = self.per_class[name]
-                lines.append(
-                    f"{name:<12} "
-                    f"req={int(stats['requests']):>6} ok={int(stats['ok']):>6} "
-                    f"rej={int(stats['rejected']):>6} "
-                    f"goodput={stats['goodput_fps']:>7.1f}/s "
-                    f"p50={stats['latency_ms_p50']:.2f}ms "
-                    f"p99={stats['latency_ms_p99']:.2f}ms"
-                )
+        for name, report in sorted((self.per_class or {}).items()):
+            lines.append(
+                f"{name:<12} "
+                f"req={report.requests:>6} ok={report.ok:>6} "
+                f"rej={report.rejected:>6} "
+                f"goodput={report.goodput_fps:>7.1f}/s "
+                f"p50={report.latency_ms_p50:.2f}ms "
+                f"p99={report.latency_ms_p99:.2f}ms"
+            )
         return "\n".join(lines)
 
 
@@ -98,74 +94,31 @@ def _status_of(response) -> str:
     return status or "failed"
 
 
-def run_load(
-    score_fn: Callable[[np.ndarray], object],
-    frames: Sequence[np.ndarray],
-    clients: int = 4,
+def _report(
+    statuses: List[str],
+    latencies: List[float],
+    elapsed: float,
+    per_class: Optional[Dict[str, LoadReport]] = None,
 ) -> LoadReport:
-    """Send every frame through ``score_fn`` from ``clients`` threads.
-
-    Each call is timed on the client side (so queue wait, batching delay
-    and transport all count); frames are claimed from a shared cursor, so
-    the workload partitions dynamically across clients.
-    """
-    frames = list(frames)
-    if not frames:
-        raise ConfigurationError("run_load needs at least one frame")
-    if clients < 1:
-        raise ConfigurationError(f"clients must be >= 1, got {clients}")
-    clients = min(clients, len(frames))
-
-    cursor_lock = threading.Lock()
-    cursor = {"next": 0}
-    counts_lock = threading.Lock()
-    counts: Dict[str, int] = {}
-    latencies: List[float] = []
-
-    def _client() -> None:
-        while True:
-            with cursor_lock:
-                index = cursor["next"]
-                if index >= len(frames):
-                    return
-                cursor["next"] = index + 1
-            started = time.perf_counter()
-            try:
-                response = score_fn(frames[index])
-                status = _status_of(response)
-            except Exception as exc:  # noqa: BLE001 — a load test must finish
-                response, status = exc, "failed"
-            lap = time.perf_counter() - started
-            with counts_lock:
-                counts[status] = counts.get(status, 0) + 1
-                latencies.append(lap)
-
-    threads = [
-        threading.Thread(target=_client, name=f"loadgen-{i}", daemon=True)
-        for i in range(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-
-    total = len(frames)
+    """Fold one population's statuses and latencies (seconds) into a report."""
+    counts = Counter(statuses)
+    per_s = 1.0 / elapsed if elapsed > 0 else 0.0
+    ms = [lap * 1e3 for lap in latencies] or [0.0]
     return LoadReport(
-        requests=total,
-        ok=counts.get("ok", 0),
-        rejected=counts.get("rejected", 0),
-        overloaded=counts.get("overloaded", 0),
-        deadline_exceeded=counts.get("deadline_exceeded", 0),
-        failed=counts.get("failed", 0) + counts.get("error", 0),
-        degraded=counts.get("degraded", 0),
+        requests=len(statuses),
+        ok=counts["ok"],
+        rejected=counts["rejected"],
+        deadline_exceeded=counts["deadline_exceeded"],
+        degraded=counts["degraded"],
+        failed=counts["failed"] + counts["error"],
         elapsed_s=elapsed,
-        throughput_fps=total / elapsed if elapsed > 0 else 0.0,
-        latency_ms_mean=float(np.mean(latencies) * 1e3) if latencies else 0.0,
-        latency_ms_p50=percentile(latencies, 50.0) * 1e3,
-        latency_ms_p95=percentile(latencies, 95.0) * 1e3,
-        latency_ms_p99=percentile(latencies, 99.0) * 1e3,
+        throughput_fps=len(statuses) * per_s,
+        goodput_fps=counts["ok"] * per_s,
+        latency_ms_mean=float(np.mean(ms)),
+        latency_ms_p50=percentile(ms, 50.0),
+        latency_ms_p95=percentile(ms, 95.0),
+        latency_ms_p99=percentile(ms, 99.0),
+        per_class=per_class,
     )
 
 
@@ -173,7 +126,7 @@ def parse_priority_mix(spec: str) -> Dict[str, float]:
     """Parse a ``"critical=10,batch=90"`` mix spec into class weights.
 
     Weights are relative shares of the client population (see
-    :func:`run_mixed_load`); classes must come from
+    :func:`run_load`); classes must come from
     :data:`~repro.serving.qos.PRIORITY_CLASSES`.  Raises
     :class:`~repro.exceptions.ConfigurationError` on anything malformed,
     so ``repro bench-serve --priority-mix`` can exit 2 with the message.
@@ -236,62 +189,76 @@ def _allocate_clients(mix: Mapping[str, float], clients: int) -> Dict[str, int]:
     return allocation
 
 
-def run_mixed_load(
-    score_fn: Callable[[np.ndarray, str, str], Any],
+def run_load(
+    score_fn: Callable[..., Any],
     frames: Sequence[np.ndarray],
-    mix: Mapping[str, float],
     clients: int = 4,
+    mix: Optional[Mapping[str, float]] = None,
     requests_per_client: Optional[int] = None,
 ) -> LoadReport:
-    """Closed-loop load with the client population split across QoS classes.
+    """Closed-loop load from ``clients`` threads, timed on the client side
+    (so queue wait, batching delay and transport all count).
 
-    ``mix`` maps class names to relative weights; ``clients`` threads are
-    divided proportionally (each class gets at least one), and every
-    client issues ``requests_per_client`` calls (default: enough for the
-    whole run to total roughly ``len(frames)`` requests), cycling over
-    ``frames``.  ``score_fn(frame, qos_class, client_id)`` must accept
-    the class and a stable per-client id — e.g. a wrapper over
-    :meth:`ServingEngine.infer <repro.serving.engine.ServingEngine.infer>`
-    or :meth:`ServingClient.score
-    <repro.serving.service.ServingClient.score>`.
+    Without a ``mix``, every frame is sent exactly once as
+    ``score_fn(frame)``, claimed from a shared cursor so the workload
+    partitions dynamically across clients: ``requests == len(frames)``.
 
-    The returned report's ``per_class`` dict carries, for each class, its
-    request/outcome counts, client-observed latency percentiles, elapsed
-    wall time, offered throughput, and *goodput* (scored-ok per second) —
-    the quantity the admission benchmark gates on.
+    With a ``mix`` (class name → relative weight, see
+    :func:`parse_priority_mix`), the clients are divided across classes
+    proportionally (each class gets at least one) and every client sends
+    ``requests_per_client`` frames (default ``len(frames) // clients``),
+    cycling over ``frames``, as ``score_fn(frame, qos_class=...,
+    client_id=...)`` — the keywords :meth:`ServingEngine.infer
+    <repro.serving.engine.ServingEngine.infer>` takes.  The report's
+    ``per_class`` then holds one report per class whose ``elapsed_s`` is
+    that class's longest-running client, so its goodput is scored-ok per
+    second of the class's own run.
     """
     frames = list(frames)
     if not frames:
-        raise ConfigurationError("run_mixed_load needs at least one frame")
+        raise ConfigurationError("run_load needs at least one frame")
     if clients < 1:
         raise ConfigurationError(f"clients must be >= 1, got {clients}")
-    for name in mix:
-        if name not in PRIORITY_CLASSES:
-            raise ConfigurationError(f"unknown priority class {name!r} in mix")
-    allocation = _allocate_clients(mix, clients)
-    if requests_per_client is None:
-        requests_per_client = max(1, len(frames) // clients)
+    # One (qos_class, client_id, frame indices) plan per client thread.
+    if mix is None:
+        shared = iter(range(len(frames)))
+        plans = [(None, None, shared)] * min(clients, len(frames))
+    else:
+        plans = []
+        for name in mix:
+            if name not in PRIORITY_CLASSES:
+                raise ConfigurationError(f"unknown priority class {name!r} in mix")
+        per_client = requests_per_client or max(1, len(frames) // clients)
+        for name, n_clients in _allocate_clients(mix, clients).items():
+            for i in range(n_clients):
+                indices = range(i * per_client, (i + 1) * per_client)
+                plans.append((name, f"{name}-{i}", iter(indices)))
 
     lock = threading.Lock()
-    counts: Dict[str, Dict[str, int]] = {name: {} for name in allocation}
-    latencies: Dict[str, List[float]] = {name: [] for name in allocation}
-    elapsed_by_class: Dict[str, float] = {name: 0.0 for name in allocation}
+    statuses: Dict[Optional[str], List[str]] = defaultdict(list)
+    latencies: Dict[Optional[str], List[float]] = defaultdict(list)
+    elapsed_by_class: Dict[Optional[str], float] = defaultdict(float)
 
-    def _client(qos_class: str, client_index: int) -> None:
-        client_id = f"{qos_class}-{client_index}"
+    def _client(
+        qos_class: Optional[str], client_id: Optional[str], indices: Iterator[int]
+    ) -> None:
+        kwargs = {} if qos_class is None else {
+            "qos_class": qos_class, "client_id": client_id
+        }
         started = time.perf_counter()
-        for k in range(requests_per_client):
-            frame = frames[(client_index * requests_per_client + k) % len(frames)]
+        while True:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                break
             call_started = time.perf_counter()
             try:
-                response = score_fn(frame, qos_class, client_id)
-                status = _status_of(response)
+                status = _status_of(score_fn(frames[index % len(frames)], **kwargs))
             except Exception:  # noqa: BLE001 — a load test must finish
                 status = "failed"
             lap = time.perf_counter() - call_started
             with lock:
-                bucket = counts[qos_class]
-                bucket[status] = bucket.get(status, 0) + 1
+                statuses[qos_class].append(status)
                 latencies[qos_class].append(lap)
         elapsed = time.perf_counter() - started
         with lock:
@@ -299,13 +266,9 @@ def run_mixed_load(
 
     threads = [
         threading.Thread(
-            target=_client,
-            args=(name, i),
-            name=f"loadgen-{name}-{i}",
-            daemon=True,
+            target=_client, args=plan, name=f"loadgen-{plan[1] or i}", daemon=True
         )
-        for name, n_clients in allocation.items()
-        for i in range(n_clients)
+        for i, plan in enumerate(plans)
     ]
     started = time.perf_counter()
     for thread in threads:
@@ -314,57 +277,15 @@ def run_mixed_load(
         thread.join()
     elapsed = time.perf_counter() - started
 
-    per_class: Dict[str, Dict[str, float]] = {}
-    for name in allocation:
-        class_counts = counts[name]
-        class_latencies = latencies[name]
-        class_elapsed = elapsed_by_class[name]
-        requests = sum(class_counts.values())
-        ok = class_counts.get("ok", 0)
-        per_class[name] = {
-            "clients": float(allocation[name]),
-            "requests": float(requests),
-            "ok": float(ok),
-            "rejected": float(class_counts.get("rejected", 0)),
-            "overloaded": float(class_counts.get("overloaded", 0)),
-            "deadline_exceeded": float(class_counts.get("deadline_exceeded", 0)),
-            "degraded": float(class_counts.get("degraded", 0)),
-            "failed": float(
-                class_counts.get("failed", 0) + class_counts.get("error", 0)
-            ),
-            "elapsed_s": class_elapsed,
-            "throughput_fps": requests / class_elapsed if class_elapsed > 0 else 0.0,
-            "goodput_fps": ok / class_elapsed if class_elapsed > 0 else 0.0,
-            "latency_ms_mean": (
-                float(np.mean(class_latencies) * 1e3) if class_latencies else 0.0
-            ),
-            "latency_ms_p50": (
-                percentile(class_latencies, 50.0) * 1e3 if class_latencies else 0.0
-            ),
-            "latency_ms_p99": (
-                percentile(class_latencies, 99.0) * 1e3 if class_latencies else 0.0
-            ),
+    per_class = None
+    if mix is not None:
+        per_class = {
+            name: _report(statuses[name], latencies[name], elapsed_by_class[name])
+            for name in mix
         }
-
-    all_latencies = [lap for laps in latencies.values() for lap in laps]
-    totals: Dict[str, int] = {}
-    for class_counts in counts.values():
-        for status, n in class_counts.items():
-            totals[status] = totals.get(status, 0) + n
-    total = sum(totals.values())
-    return LoadReport(
-        requests=total,
-        ok=totals.get("ok", 0),
-        rejected=totals.get("rejected", 0),
-        overloaded=totals.get("overloaded", 0),
-        deadline_exceeded=totals.get("deadline_exceeded", 0),
-        failed=totals.get("failed", 0) + totals.get("error", 0),
-        degraded=totals.get("degraded", 0),
-        elapsed_s=elapsed,
-        throughput_fps=total / elapsed if elapsed > 0 else 0.0,
-        latency_ms_mean=float(np.mean(all_latencies) * 1e3) if all_latencies else 0.0,
-        latency_ms_p50=percentile(all_latencies, 50.0) * 1e3 if all_latencies else 0.0,
-        latency_ms_p95=percentile(all_latencies, 95.0) * 1e3 if all_latencies else 0.0,
-        latency_ms_p99=percentile(all_latencies, 99.0) * 1e3 if all_latencies else 0.0,
-        per_class=per_class,
+    return _report(
+        [status for group in statuses.values() for status in group],
+        [lap for group in latencies.values() for lap in group],
+        elapsed,
+        per_class,
     )

@@ -1,7 +1,10 @@
 """Multiprocess worker pool: engine replicas with restart-on-crash.
 
 Each worker is a separate OS process that loads the artifact bundle
-itself (:func:`repro.serving.artifacts.load_bundle`) — replicas share no
+itself (:func:`repro.serving.artifacts.load_bundle`) and scores through
+the same :class:`~repro.serving.engine.PipelineScorer` as the in-process
+path, so a replica's :class:`~repro.serving.results.BatchVerdicts` come
+from the compiled plan's ``verdict`` stage too.  Replicas share no
 memory with the parent, so a crashed or wedged worker cannot corrupt the
 others.  The parent dispatches micro-batches round-robin over duplex
 pipes, health-checks replicas with pings, and respawns a worker that died or
@@ -18,6 +21,7 @@ worker and keeps every replica busy.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import threading
 import time
@@ -35,6 +39,7 @@ from repro.exceptions import (
 )
 from repro.nn.backend.policy import as_tensor, resolve_dtype
 from repro.serving.artifacts import read_manifest
+from repro.serving.engine import PipelineScorer, check_swap_shape, swap_model_version
 from repro.serving.results import BatchVerdicts
 from repro.telemetry import current_trace, get_telemetry
 from repro.utils.log import get_logger
@@ -49,6 +54,10 @@ def _worker_main(
     profile_kernels: bool = False,
 ) -> None:
     """Worker-process loop: load the bundle, answer score/ping requests.
+
+    Each score request is answered with the :class:`BatchVerdicts` of a
+    :class:`~repro.serving.engine.PipelineScorer` over the loaded
+    pipeline.
 
     Runs until a ``("stop",)`` message or EOF on the pipe.  Scoring errors
     are reported per-request (``("err", id, message)``) rather than
@@ -70,14 +79,12 @@ def _worker_main(
         from repro.nn.backend import enable_kernel_profiler
 
         enable_kernel_profiler()
-    bundle = load_bundle(bundle_dir)
-    pipeline = bundle.pipeline
+    pipeline = load_bundle(bundle_dir).pipeline
     if dtype is not None:
         pipeline.set_inference_dtype(dtype)
-    # Compile the scoring plan before signalling ready: stage-graph
-    # construction happens once at worker startup, never on a request.
-    getattr(pipeline, "plan", None)
-    detector = pipeline.one_class.detector
+    # The scorer compiles the plan before the replica answers anything:
+    # stage-graph construction happens once at startup, never on a request.
+    scorer = PipelineScorer(pipeline)
     telem = None
     sink = None
     while True:
@@ -107,22 +114,13 @@ def _worker_main(
                     with telem.span(
                         "worker.score_batch", trace=context, frames=len(frames)
                     ):
-                        scores = pipeline.score_batch(frames)
+                        verdicts = scorer.score_batch(frames)
                     spans = [
                         dict(r) for r in sink.records if r.get("type") == "span"
                     ]
                 else:
-                    scores = pipeline.score_batch(frames)
-                conn.send(
-                    (
-                        "ok",
-                        request_id,
-                        scores,
-                        detector.predict(scores),
-                        detector.novelty_margin(scores),
-                        spans,
-                    )
-                )
+                    verdicts = scorer.score_batch(frames)
+                conn.send(("ok", request_id, verdicts, spans))
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 conn.send(("err", request_id, f"{type(exc).__name__}: {exc}"))
         else:
@@ -318,13 +316,13 @@ class WorkerPool:
                 raise
         if reply[0] == "err":
             raise ServingError(f"worker {worker.index} scoring error: {reply[2]}")
-        _, _, scores, is_novel, margins, worker_spans = reply
+        _, _, verdicts, worker_spans = reply
         if worker_spans:
             telem = get_telemetry()
             if telem.enabled:
                 for record in worker_spans:
                     telem.replay_span(record)
-        return BatchVerdicts(scores, is_novel, margins, self.model_version)
+        return dataclasses.replace(verdicts, model_version=self.model_version)
 
     # -- hot-swap --------------------------------------------------------
     def reload(self, target: Union[str, Path, Any], model_version: Optional[str] = None) -> None:
@@ -345,18 +343,10 @@ class WorkerPool:
         """
         if self._closed:
             raise ServingError("WorkerPool.reload called after close()")
-        if model_version is None:
-            manifest_attr = getattr(target, "manifest", None)
-            if manifest_attr is not None:
-                model_version = manifest_attr.get("config_hash")
+        model_version = swap_model_version(target, model_version)
         bundle_dir = Path(getattr(target, "path", target))
         manifest = read_manifest(bundle_dir)
-        new_shape = tuple(manifest["image_shape"])
-        if new_shape != tuple(self.image_shape):
-            raise DeploymentError(
-                f"hot-swap shape mismatch: serving {tuple(self.image_shape)}, "
-                f"candidate scores {new_shape}"
-            )
+        check_swap_shape(self.image_shape, manifest["image_shape"])
         telem = get_telemetry()
         for worker in self._workers:
             fresh = self._spawn(worker.index, bundle_dir=bundle_dir)

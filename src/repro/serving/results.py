@@ -1,16 +1,16 @@
 """Typed request outcomes for the serving engine.
 
 Every request submitted to :class:`repro.serving.ServingEngine` resolves
-to exactly one of six outcome types — admission control and failures are
+to exactly one of five outcome types — admission control and failures are
 *values*, not exceptions, so a frontend can serialize them onto the wire
 without a try/except ladder:
 
 * :class:`Scored` — the frame was scored; carries the verdict and latency.
-* :class:`Rejected` — refused by admission policy (rate limit, adaptive
-  concurrency limit, or deadline-aware shedding) before entering the
-  queue; carries a machine-readable reason and is never retried.
-* :class:`Overloaded` — rejected at admission because the bounded request
-  queue was full (backpressure; the engine never queues unboundedly).
+* :class:`Rejected` — refused before entering the queue: by admission
+  policy (rate limit, adaptive concurrency limit, deadline-aware
+  shedding) or because the bounded queue was full (``"queue_full"``
+  backpressure; the engine never queues unboundedly).  Carries a
+  machine-readable reason and is never retried.
 * :class:`DeadlineExceeded` — admitted, but its deadline passed while it
   waited in the queue; dropped without scoring.
 * :class:`Degraded` — the backend was unavailable (circuit breaker open,
@@ -70,16 +70,16 @@ class Scored:
 
 @dataclass(frozen=True)
 class Rejected:
-    """Refused by admission policy before any work was queued.
+    """Refused before any work was queued.
 
-    Unlike :class:`Overloaded` (a full queue — transient backpressure),
-    a ``Rejected`` outcome is a *policy* decision: the client exceeded
-    its quota, the adaptive concurrency limit is shedding load, or the
-    request's deadline cannot be met by the current queue.  Rejections
-    are cheap by construction (no frame ever enters the queue) and are
-    deliberately not retried by the engine's reliability machinery —
-    retrying against the same overloaded node is exactly the behavior
-    admission control exists to prevent.
+    Either a *policy* decision — the client exceeded its quota, the
+    adaptive concurrency limit is shedding load, or the request's
+    deadline cannot be met by the current queue — or transient
+    backpressure: the bounded queue was full.  Rejections are cheap by
+    construction (no frame ever enters the queue) and are deliberately
+    not retried by the engine's reliability machinery — retrying against
+    the same overloaded node is exactly the behavior admission control
+    exists to prevent.
 
     Attributes
     ----------
@@ -87,7 +87,7 @@ class Rejected:
         Machine-readable cause, one of
         :data:`~repro.serving.admission.REJECTION_REASONS`
         (``"rate_limited"`` / ``"concurrency_limit"`` /
-        ``"deadline_unmeetable"``).
+        ``"deadline_unmeetable"`` / ``"queue_full"``).
     qos_class:
         Priority class the request resolved to.
     client_id:
@@ -103,16 +103,6 @@ class Rejected:
     qos_class: str
     client_id: Optional[str] = None
     retry_after_ms: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Overloaded:
-    """Rejected at admission: the bounded request queue was full."""
-
-    status: ClassVar[str] = "overloaded"
-
-    queue_depth: int
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -161,9 +151,7 @@ class Failed:
     error: str
 
 
-RequestOutcome = Union[
-    Scored, Rejected, Overloaded, DeadlineExceeded, Degraded, Failed
-]
+RequestOutcome = Union[Scored, Rejected, DeadlineExceeded, Degraded, Failed]
 
 
 class PendingResult:

@@ -16,11 +16,13 @@ UTF-8 JSON.  Requests carry an ``op``:
 meaningful against an engine configured with a QoS policy.  Score
 responses mirror the engine's typed outcomes via a ``status`` field:
 ``"ok"`` (with ``score`` / ``is_novel`` / ``margin`` / ``batch_size`` /
-``latency_ms``), ``"rejected"`` (admission control; with ``reason``,
-``qos_class`` and optionally ``retry_after_ms``), ``"overloaded"`` (with
-``queue_depth`` / ``capacity``), ``"deadline_exceeded"``, ``"failed"``,
-or ``"error"`` for malformed requests.  The request's ``id`` is echoed
-back verbatim.
+``latency_ms``), ``"rejected"`` (refused before queueing; with
+``reason`` — an admission-policy reason or ``"queue_full"`` —
+``qos_class`` and optionally ``retry_after_ms``), ``"deadline_exceeded"``,
+``"degraded"``, ``"failed"`` (also when the server stops waiting for an
+answer after its ``request_timeout_s``), or ``"error"`` for malformed
+requests.  The request's ``id`` is echoed back verbatim.  A message that
+is not UTF-8 JSON drops the connection.
 
 Tracing: a score request may carry a ``"trace"`` object (the
 ``to_dict()`` form of a :class:`~repro.telemetry.TraceContext`) to parent
@@ -60,8 +62,9 @@ from repro.serving.results import (
     DeadlineExceeded,
     Degraded,
     Failed,
-    Overloaded,
+    PendingResult,
     Rejected,
+    RequestOutcome,
     Scored,
 )
 from repro.telemetry import TraceContext, get_telemetry
@@ -170,7 +173,8 @@ class ServingServer:
             while True:
                 try:
                     request = recv_message(conn)
-                except (ServingError, json.JSONDecodeError, OSError) as exc:
+                except (ServingError, ValueError, OSError) as exc:
+                    # ValueError: undecodable JSON or non-UTF-8 bytes.
                     _log.info("dropping connection from %s: %s", peer, exc)
                     return
                 if request is None:
@@ -205,30 +209,35 @@ class ServingServer:
             frame = as_tensor(
                 request["frame"], getattr(self.engine.scorer, "dtype", None)
             )
-            deadline_kwargs: Dict[str, Any] = {}
+            kwargs: Dict[str, Any] = {}
             if "deadline_ms" in request:
-                deadline_kwargs["deadline_ms"] = request["deadline_ms"]
+                kwargs["deadline_ms"] = request["deadline_ms"]
             if request.get("client") is not None:
-                deadline_kwargs["client_id"] = str(request["client"])
+                kwargs["client_id"] = str(request["client"])
             if request.get("priority") is not None:
-                deadline_kwargs["qos_class"] = str(request["priority"])
+                kwargs["qos_class"] = str(request["priority"])
             if telem.enabled:
                 with telem.span("serving.frontend", trace=trace_arg) as span:
-                    request_trace = span.context.child()
-                    pending = self.engine.submit(
-                        frame, trace=request_trace, **deadline_kwargs
-                    )
-                    outcome = pending.result(self.request_timeout_s)
-                response = _serialize_outcome(request_id, outcome)
-                response["trace_id"] = request_trace.trace_id
-                return response
-            pending = self.engine.submit(frame, **deadline_kwargs)
+                    kwargs["trace"] = span.context.child()
+                    outcome = self._await(self.engine.submit(frame, **kwargs))
+            else:
+                outcome = self._await(self.engine.submit(frame, **kwargs))
         except KeyError:
             return {"id": request_id, "status": "error", "error": "score requires 'frame'"}
         except (ConfigurationError, ShapeError, TypeError, ValueError) as exc:
             return {"id": request_id, "status": "error", "error": str(exc)}
-        outcome = pending.result(self.request_timeout_s)
-        return _serialize_outcome(request_id, outcome)
+        response = _serialize_outcome(request_id, outcome)
+        if "trace" in kwargs:
+            response["trace_id"] = kwargs["trace"].trace_id
+        return response
+
+    def _await(self, pending: PendingResult) -> RequestOutcome:
+        """The request's outcome, or ``Failed`` once ``request_timeout_s``
+        passes without one (the connection stays open either way)."""
+        try:
+            return pending.result(self.request_timeout_s)
+        except ServingError as exc:
+            return Failed(error=str(exc))
 
     def close(self) -> None:
         """Stop accepting; established connections close as clients leave."""
@@ -282,13 +291,6 @@ def _serialize_outcome(request_id, outcome) -> Dict[str, Any]:
         if outcome.retry_after_ms is not None:
             response["retry_after_ms"] = outcome.retry_after_ms
         return response
-    if isinstance(outcome, Overloaded):
-        return {
-            "id": request_id,
-            "status": outcome.status,
-            "queue_depth": outcome.queue_depth,
-            "capacity": outcome.capacity,
-        }
     if isinstance(outcome, DeadlineExceeded):
         return {
             "id": request_id,
@@ -403,17 +405,15 @@ class ServingClient:
             return reply
         if status == "rejected":
             reason = reply.get("reason", "")
-            raise RequestRejectedError(
-                f"request rejected by admission control: {reason}",
+            details = dict(
                 reason=reason,
                 qos_class=reply.get("qos_class", ""),
                 retry_after_ms=reply.get("retry_after_ms"),
             )
-        if status == "overloaded":
-            raise ServerOverloadedError(
-                f"server queue full ({reply.get('queue_depth')}/"
-                f"{reply.get('capacity')} queued)",
-                reason="queue_full",
+            if reason == "queue_full":
+                raise ServerOverloadedError("server queue full", **details)
+            raise RequestRejectedError(
+                f"request rejected by admission control: {reason}", **details
             )
         if status == "deadline_exceeded":
             raise RequestTimedOutError(

@@ -251,6 +251,31 @@ class TestBundleAndBenchServe:
         assert "throughput" in out
         assert "p99" in out
 
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--socket"], ["over the socket frontend", f"{'scored ok':<22} {24:>10}"]),
+            (["--priority-mix", "critical=1,batch=3"], ["critical     req=", "batch        req=", "admitted"]),
+            (
+                ["--priority-mix", "critical=1,batch=3", "--socket"],
+                ["over the socket frontend", "critical     req=", "batch        req="],
+            ),
+            (["--chaos"], ["chaos: injected faults", "chaos: degraded="]),
+        ],
+        ids=["socket", "mix", "mix-socket", "chaos"],
+    )
+    def test_bench_serve_paths(self, bundle_dir, capsys, extra, expected):
+        """Every load path sends the requested frames and reports."""
+        exit_code = main([
+            "bench-serve", "--bundle", str(bundle_dir), "--frames", "24",
+            "--clients", "4", "--no-telemetry", *extra,
+        ])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert f"{'requests':<22} {24:>10}" in out
+        for text in expected:
+            assert text in out
+
     def test_bundle_command_writes_bundle(self, tmp_path, capsys):
         out_dir = tmp_path / "bundle"
         exit_code = main(["bundle", "--out", str(out_dir), "--scale", "ci"])

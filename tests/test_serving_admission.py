@@ -27,6 +27,7 @@ from repro.serving import (
 from repro.serving.admission import (
     REJECT_CONCURRENCY,
     REJECT_DEADLINE,
+    REJECT_QUEUE_FULL,
     REJECT_RATE_LIMITED,
 )
 
@@ -306,7 +307,9 @@ class TestEngineIntegration:
             assert second.reason == REJECT_RATE_LIMITED
             assert second.client_id == "greedy"
             assert second.retry_after_ms > 0
-            assert engine.stats()["rejected_admission"] == 1
+            stats = engine.stats()
+            assert stats["rejected"] == 1
+            assert stats["admission"]["rejected"][REJECT_RATE_LIMITED] == 1
         finally:
             engine.close()
 
@@ -351,9 +354,36 @@ class TestEngineIntegration:
             assert statuses.count("ok") == 2
             assert statuses.count("rejected") == 4
             assert stats["submitted"] == 6
-            assert stats["submitted"] == stats["scored"] + stats["rejected_admission"]
+            assert stats["submitted"] == stats["scored"] + stats["rejected"]
             assert stats["admission"]["rejected"]["rate_limited"] == 4
         finally:
+            engine.close()
+
+    def test_full_queue_is_a_queue_full_rejection(self):
+        scorer = _BlockingScorer()
+        engine = ServingEngine(
+            scorer,
+            EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=1,
+                         qos=_policy()),
+        )
+        try:
+            parked = engine.submit(_frame(), qos_class="critical")
+            time.sleep(0.1)  # the dispatch thread takes it into the scorer
+            queued = engine.submit(_frame(), qos_class="critical")
+            refused = engine.submit(_frame(), qos_class="critical", client_id="cam")
+            outcome = refused.result(1.0)
+            assert isinstance(outcome, Rejected)
+            assert outcome.reason == REJECT_QUEUE_FULL
+            assert (outcome.qos_class, outcome.client_id) == ("critical", "cam")
+            scorer.release.set()
+            assert parked.result(5.0).status == queued.result(5.0).status == "ok"
+            stats = engine.stats()
+            assert stats["rejected"] == 1
+            assert stats["admission"]["rejected"][REJECT_QUEUE_FULL] == 1
+            # The refused request was taken back out of ``admitted``.
+            assert stats["admission"]["admitted"] == 2
+        finally:
+            scorer.release.set()
             engine.close()
 
     def test_stats_expose_admission_block(self):

@@ -13,8 +13,8 @@ from repro.serving import (
     Degraded,
     EngineConfig,
     Failed,
-    Overloaded,
     PipelineScorer,
+    Rejected,
     Scored,
     ServingEngine,
 )
@@ -134,9 +134,9 @@ class TestBackpressure:
             rejected = [engine.submit(_frame()) for _ in range(3)]  # over capacity
             for pending in rejected:
                 outcome = pending.result(1.0)
-                assert isinstance(outcome, Overloaded)
-                assert outcome.status == "overloaded"
-                assert outcome.capacity == 2
+                assert isinstance(outcome, Rejected)
+                assert outcome.status == "rejected"
+                assert outcome.reason == "queue_full"
             scorer.release.set()
             assert isinstance(first.result(10.0), Scored)
             for pending in backlog:
@@ -158,7 +158,9 @@ class TestBackpressure:
             assert engine.stats()["queue_depth"] <= 4
             scorer.release.set()
             outcomes = [p.result(10.0) for p in pendings]
-            assert sum(isinstance(o, Overloaded) for o in outcomes) >= 14
+            assert sum(
+                isinstance(o, Rejected) and o.reason == "queue_full" for o in outcomes
+            ) >= 14
         finally:
             scorer.release.set()
             engine.close()
@@ -254,7 +256,6 @@ class TestFailures:
             for key in (
                 "scored",
                 "rejected",
-                "rejected_admission",
                 "deadline_exceeded",
                 "failed",
                 "degraded",
@@ -389,13 +390,15 @@ class TestReliability:
         assert isinstance(outcome, Degraded)
         assert "non-finite" in outcome.reason
 
-    def test_nan_scores_pass_through_without_reliability(self):
-        """Documents the legacy contract: an unconfigured engine delivers
-        whatever the backend produced."""
+    def test_nan_scores_fail_without_reliability(self):
+        """Every config refuses non-finite scores: a NaN compared with the
+        threshold would read as "not novel"."""
         with ServingEngine(_NaNScorer(), EngineConfig(max_batch_size=4)) as engine:
             outcome = engine.infer(_frame())
-        assert isinstance(outcome, Scored)
-        assert np.isnan(outcome.score)
+            stats = engine.stats()
+        assert isinstance(outcome, Failed)
+        assert "non-finite" in outcome.error
+        assert stats["failed"] == 1 and stats["scored"] == 0
 
     def test_breaker_stats_surface_in_engine_stats(self):
         from repro.reliability import BreakerConfig

@@ -35,7 +35,6 @@ STEPS = ("ok", "raise", "crash", "nan", "sleep")
 OUTCOME_COUNTS = (
     "scored",
     "rejected",
-    "rejected_admission",
     "deadline_exceeded",
     "failed",
     "degraded",
@@ -160,6 +159,7 @@ def test_every_request_resolves_exactly_once(
         event(status)
     assert tally["failed"] == stats["failed"]
     assert tally["ok"] == stats["scored"]
+    assert tally["rejected"] == stats["rejected"]
     # One retry layer: a batch reaches the backend at most max_attempts
     # times (3 with the policy; the default retries a crash once).
     assert max(scorer.seen.values(), default=0) <= (3 if retry else 2)

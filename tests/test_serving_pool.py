@@ -16,7 +16,13 @@ from repro.exceptions import (
     ServingError,
     WorkerCrashError,
 )
-from repro.serving import Scored, ServingEngine, WorkerPool
+from repro.serving import (
+    PipelineScorer,
+    Scored,
+    ServingEngine,
+    WorkerPool,
+    load_bundle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +57,21 @@ class TestScoring:
         np.testing.assert_array_equal(
             verdicts.is_novel, detector.predict(verdicts.scores)
         )
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_replica_verdicts_equal_in_process_scorer(self, bundle_dir, dsu_test, dtype):
+        """Replicas score through a PipelineScorer too: identical verdicts."""
+        frames = dsu_test.frames[:6]
+        pipeline = load_bundle(bundle_dir).pipeline
+        pipeline.set_inference_dtype(dtype)
+        expected = PipelineScorer(pipeline).score_batch(frames)
+        with WorkerPool(
+            bundle_dir, workers=1, request_timeout_s=120.0, dtype=dtype
+        ) as pool:
+            verdicts = pool.score_batch(frames)
+        assert verdicts.scores.dtype == np.dtype(dtype)
+        for field in ("scores", "is_novel", "margins"):
+            assert np.array_equal(getattr(verdicts, field), getattr(expected, field))
 
     def test_image_shape_from_manifest(self, pool):
         assert pool.image_shape == CI.image_shape

@@ -174,6 +174,77 @@ class TestServerClose:
             engine.close()
 
 
+class _GatedScorer(_TinyScorer):
+    """Parks every batch until ``gate`` is set."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+
+    def score_batch(self, frames):
+        self.gate.wait(30.0)
+        return super().score_batch(frames)
+
+
+class TestServerFaults:
+    """A bad request or a slow engine costs one reply, not the server."""
+
+    def test_non_utf8_request_drops_the_connection_not_the_thread(self):
+        fired = []
+        original = threading.excepthook
+        threading.excepthook = fired.append
+        engine = ServingEngine(_TinyScorer())
+        try:
+            with ServingServer(engine) as server:
+                with socket.create_connection(server.address, timeout=5.0) as raw:
+                    body = b"\xff\xfe{bad"
+                    raw.sendall(struct.pack(">I", len(body)) + body)
+                    assert raw.recv(1) == b""  # the server hung up
+                with ServingClient(*server.address) as client:
+                    assert client.score(np.zeros((4, 4)))["status"] == "ok"
+        finally:
+            threading.excepthook = original
+            engine.close()
+        assert fired == []
+
+    def test_request_timeout_answers_failed_and_keeps_the_connection(self):
+        scorer = _GatedScorer()
+        engine = ServingEngine(scorer)
+        try:
+            with ServingServer(engine, request_timeout_s=0.3) as server:
+                with ServingClient(*server.address) as client:
+                    reply = client.score(np.zeros((4, 4)))
+                    assert reply["status"] == "failed"
+                    assert "did not resolve" in reply["error"]
+                    assert client.ping() is True
+                    scorer.gate.set()
+                    assert client.score(np.zeros((4, 4)))["status"] == "ok"
+        finally:
+            scorer.gate.set()
+            engine.close()
+
+    def test_full_queue_answers_rejected_queue_full(self):
+        scorer = _GatedScorer()
+        engine = ServingEngine(
+            scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=1)
+        )
+        try:
+            parked = engine.submit(np.zeros((4, 4)))
+            time.sleep(0.1)  # the dispatch thread takes it into the scorer
+            queued = engine.submit(np.zeros((4, 4)))
+            with ServingServer(engine) as server:
+                with ServingClient(*server.address) as client:
+                    reply = client.score(np.zeros((4, 4)))
+                    assert reply["status"] == "rejected"
+                    assert reply["reason"] == "queue_full"
+                    with pytest.raises(ServerOverloadedError):
+                        client.score_strict(np.zeros((4, 4)))
+            scorer.gate.set()
+            assert parked.result(5.0).status == queued.result(5.0).status == "ok"
+        finally:
+            scorer.gate.set()
+            engine.close()
+
+
 @pytest.fixture
 def qos_served():
     """A server whose engine meters the client id ``greedy`` at 1 burst."""
@@ -267,7 +338,9 @@ class TestClientErrorMapping:
 
     def test_overloaded_raises_server_overloaded(self):
         with pytest.raises(ServerOverloadedError) as excinfo:
-            self._strict({"status": "overloaded", "queue_depth": 64, "capacity": 64})
+            self._strict(
+                {"status": "rejected", "reason": "queue_full", "qos_class": "default"}
+            )
         assert excinfo.value.reason == "queue_full"
         assert isinstance(excinfo.value, RequestRejectedError)  # one except catches both
 

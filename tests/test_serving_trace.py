@@ -161,6 +161,9 @@ class TestWorkerPoolPropagation:
         kernels = [s for s in spans if s["name"].startswith("kernel.")]
         assert kernels, "worker kernel spans did not replay"
         assert all(k["trace_id"] == ctx.trace_id for k in kernels)
+        # The replica's verdict is the compiled plan's verdict stage.
+        (verdict,) = [s for s in spans if s["name"] == "stage.verdict"]
+        assert verdict["trace_id"] == ctx.trace_id
 
     def test_untraced_call_ships_no_context(self, bundle_dir, dsu_test):
         with telemetry_session() as telem:
